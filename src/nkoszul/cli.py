@@ -75,13 +75,7 @@ def _load(path, field_override):
             text = fh.read()
     except OSError as exc:
         raise DefinitionError(str(exc), source=path) from None
-    defn = parse_definition(text, source=path)
-    if field_override and field_override != defn.field_spec:
-        from .definitions import AlgebraDefinition
-        defn = AlgebraDefinition(field_override, defn.generators, defn.degree,
-                                 [[(c, w) for c, w in terms]
-                                  for terms in defn.relations])
-    return defn
+    return parse_definition(text, source=path, field_override=field_override)
 
 
 def _word_name(defn, word):

@@ -114,7 +114,11 @@ def _parse_relation(tokens, lineno, names, degree, field, source):
         else:
             coeff, word_text, word_col = "1", tok, col
         word = _parse_word(word_text, lineno, word_col, names, degree, source)
-        value = field.coerce(coeff)
+        try:
+            value = field.coerce(coeff)
+        except ZeroDivisionError:
+            _fail("coefficient %r is undefined over %r" % (coeff, field),
+                  lineno, col, source)
         if sign < 0:
             value = field.neg(value)
         terms.append((value, word))
@@ -126,8 +130,12 @@ def _parse_relation(tokens, lineno, names, degree, field, source):
     return terms
 
 
-def parse_definition(text, source=None):
-    """Parse definition text; raises DefinitionError with line/column."""
+def parse_definition(text, source=None, field_override=None):
+    """Parse definition text; raises DefinitionError with line/column.
+
+    A ``field_override`` (a field name) replaces the file's ``field`` line:
+    the coefficients are then read in that field.
+    """
     field_spec = "rational"
     field = None
     generators = None
@@ -175,6 +183,8 @@ def parse_definition(text, source=None):
         _fail("missing 'generators' line", 1, 1, source)
     if degree is None:
         _fail("missing 'degree' line", 1, 1, source)
+    if field_override and field_override != field_spec:
+        field_spec, field = field_override, None
     if field is None:
         field = field_from_name(field_spec)
     relations = [_parse_relation(toks, lineno, names, degree, field, source)

@@ -55,6 +55,13 @@ class RationalField:
         return a * self.inv(b)
 
     @staticmethod
+    def ratio(n, d):
+        """The scalar n/d of two integers, d nonzero."""
+        if _mpq is not None:
+            return _mpq(n, d)
+        return Fraction(n, d)
+
+    @staticmethod
     def is_zero(a):
         return not a
 

@@ -219,11 +219,6 @@ class NComplexSlice:
             self._mats[k] = mat
         return mat
 
-    def differential_linear_map(self, k):
-        """Dense LinearMap view of the position-k differential (desk scale)."""
-        from .linalg import LinearMap
-        return LinearMap(self.differential(k).to_dense())
-
     def _tgcols(self, target_degree):
         """Transpose of _gcols: per letter, target position -> source column."""
         key = ("t", target_degree)

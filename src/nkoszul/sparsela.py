@@ -3,7 +3,15 @@
 Rows are dicts {column index: nonzero scalar}.  The public dense module
 is the reference implementation; this one exists because graded pieces
 of tensor algebras are huge and mostly empty.
+
+Over GF(p) the eliminator works on field scalars throughout.  Over QQ it
+works fraction-free: each incoming row is cleared of denominators and of
+its content once, and is then reduced as a primitive integer row
+(Bareiss-style, ``row := (p*row - c*prow) / gcd(c, p)``).  Only
+``Eliminator.finalize`` turns the stored rows back into field scalars.
 """
+
+from math import gcd, lcm
 
 from .errors import ContractViolation, DimensionMismatch
 
@@ -29,22 +37,102 @@ def row_scale(field, row, c):
         row[j] = mul(c, row[j])
 
 
+def primitive_row(row):
+    """The integer row proportional to a QQ row, with content 1."""
+    den = 1
+    for v in row.values():
+        d = v.denominator
+        if d != 1:
+            den = lcm(den, d)
+    if den == 1:
+        out = {j: v.numerator for j, v in row.items() if v}
+    else:
+        out = {j: v.numerator * (den // v.denominator)
+               for j, v in row.items() if v}
+    remove_content(out)
+    return out
+
+
+def remove_content(row):
+    """Divide an integer row, in place, by the gcd of its entries."""
+    if row:
+        content = gcd(*row.values())
+        if content != 1:
+            for j in row:
+                row[j] //= content
+
+
+def int_eliminate(row, j, prow):
+    """row := (p*row - c*prow) / gcd(c, p) in place, which clears column j.
+
+    Here c = row[j] and p = prow[j]; both rows hold integers.  The
+    combination is negated when p < 0, so row's multiplier is positive.
+    """
+    c, p = row[j], prow[j]
+    g = gcd(c, p)
+    if p < 0:
+        g = -g
+    c //= g
+    p //= g
+    if p != 1:
+        for k in row:
+            row[k] *= p
+    get = row.get
+    for k, v in prow.items():
+        cur = get(k)
+        if cur is None:
+            row[k] = -c * v
+        else:
+            s = cur - c * v
+            if s:
+                row[k] = s
+            else:
+                del row[k]
+
+
 class Eliminator:
     """Incremental Gaussian elimination with ascending column pivots.
 
     Feed rows with add(); finalize() back-substitutes so the stored rows
     become the unique RREF of everything fed in.
+
+    ``pivot_rows`` maps each pivot column to its stored row and may be read
+    at any time.  Over GF(p) every stored row has entry 1 at its pivot.
+    Over QQ, until finalize(), the stored rows are primitive integer rows
+    forming an echelon basis of the rows fed so far; a pivot entry is any
+    nonzero integer, and ``rank`` and ``pivots()`` are already exact.
+    After finalize() the stored rows are, over every field, the canonical
+    RREF in the field's scalar type, each with entry ``field.one`` at its
+    pivot.
     """
 
     def __init__(self, field):
         self.field = field
-        self.pivot_rows = {}  # pivot column -> row dict (entry 1 at pivot)
+        self.pivot_rows = {}  # pivot column -> row dict
+        self._integer_rows = field.kind == "rational"
         self._finalized = False
 
     def reduce(self, row):
-        """Eliminate all known pivots from row (row is consumed)."""
-        field = self.field
+        """Eliminate all known pivots from row (row is consumed).
+
+        The row is given in the stored form: field scalars over GF(p), a
+        primitive integer row over QQ.
+        """
         pivot_rows = self.pivot_rows
+        if self._integer_rows:
+            while True:
+                # ascending: a stored row is zero left of its pivot, so no
+                # column cleared in this pass comes back; each clearing
+                # scales the whole row, so clearing one twice is costly
+                hits = sorted(j for j in row if j in pivot_rows)
+                if not hits:
+                    return row
+                for j in hits:
+                    if j in row:
+                        int_eliminate(row, j, pivot_rows[j])
+                remove_content(row)
+                # new fill-in may have introduced fresh pivot columns
+        field = self.field
         neg = field.neg
         while True:
             hits = [j for j in row if j in pivot_rows]
@@ -60,12 +148,13 @@ class Eliminator:
         """Reduce and store row; returns its pivot column or None."""
         if self._finalized:
             raise ContractViolation("eliminator already finalized")
-        row = self.reduce(dict(row))
+        row = self.reduce(primitive_row(row) if self._integer_rows
+                          else dict(row))
         if not row:
             return None
         piv = min(row)
         c = row[piv]
-        if c != self.field.one:
+        if not self._integer_rows and c != self.field.one:
             row_scale(self.field, row, self.field.inv(c))
         self.pivot_rows[piv] = row
         return piv
@@ -82,24 +171,30 @@ class Eliminator:
         if self._finalized:
             return
         field = self.field
-        neg = field.neg
-        for piv in sorted(self.pivot_rows, reverse=True):
-            src = self.pivot_rows[piv]
-            for other_piv, row in self.pivot_rows.items():
-                if other_piv < piv:
-                    c = row.get(piv)
-                    if c:
-                        row_axpy(field, row, neg(c), src)
+        pivot_rows = self.pivot_rows
+        if self._integer_rows:
+            for piv in sorted(pivot_rows, reverse=True):
+                src = pivot_rows[piv]
+                for other_piv, row in pivot_rows.items():
+                    if other_piv < piv and piv in row:
+                        int_eliminate(row, piv, src)
+                        remove_content(row)
+            ratio, one = field.ratio, field.one
+            for piv, row in pivot_rows.items():
+                p = row[piv]
+                for j in row:
+                    row[j] = ratio(row[j], p)
+                row[piv] = one
+        else:
+            neg = field.neg
+            for piv in sorted(pivot_rows, reverse=True):
+                src = pivot_rows[piv]
+                for other_piv, row in pivot_rows.items():
+                    if other_piv < piv:
+                        c = row.get(piv)
+                        if c:
+                            row_axpy(field, row, neg(c), src)
         self._finalized = True
-
-
-def sparse_rref(field, rows):
-    """RREF of an iterable of dict rows; returns {pivot: row} fully reduced."""
-    elim = Eliminator(field)
-    for row in rows:
-        elim.add(row)
-    elim.finalize()
-    return elim.pivot_rows
 
 
 def subspace_rows(subspace):
@@ -159,31 +254,6 @@ class SparseMatrix:
             if col:
                 elim.add(col)
         return elim.rank
-
-    def transpose(self):
-        out = SparseMatrix(self.field, self.ncols, self.nrows,
-                           [{} for _ in range(self.nrows)])
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                out.cols[i][j] = v
-        return out
-
-    def to_dense(self):
-        from .linalg import Matrix
-        mat = Matrix.zeros(self.field, self.nrows, self.ncols)
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                mat.rows[i][j] = v
-        return mat
-
-    @classmethod
-    def from_dense(cls, matrix):
-        out = cls(matrix.field, matrix.nrows, matrix.ncols)
-        for i, row in enumerate(matrix.rows):
-            for j, v in enumerate(row):
-                if v:
-                    out.cols[j][i] = v
-        return out
 
     def __repr__(self):
         return "SparseMatrix(%d x %d over %r)" % (

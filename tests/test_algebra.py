@@ -11,7 +11,7 @@ from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, bullet, circ,
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.linalg import Matrix, Subspace
-from nkoszul.sampling import random_algebra, rng_from_seed
+from nkoszul.sampling import random_algebra, random_subspace, rng_from_seed
 from nkoszul.words import index_word
 
 
@@ -40,13 +40,26 @@ def test_truncated_exterior_dims():
         assert dims == [1] * N + [0] * 3
 
 
+def fractional_algebra(g, N, dim_r, rng):
+    """A random Schubert-cell relation space with its free entries divided."""
+    base = random_subspace(QQ, g ** N, rng, dim=dim_r)
+    rows = [[v if j in base.pivots else v / rng.randint(1, 4)
+             for j, v in enumerate(row)] for row in base.basis.rows]
+    return NHomogeneousAlgebra(g, N, Subspace.from_vectors(QQ, g ** N, rows))
+
+
 def test_dims_complement_relation_space():
     # dim A_n = g^n - dim(sum E^r R E^s), checked against the dense oracle
     rng = rng_from_seed(11)
-    for _ in range(5):
-        A = random_algebra(2, 3, rng)
+    algebras = [random_algebra(2, 3, rng) for _ in range(5)]
+    B = fractional_algebra(3, 3, 9, rng_from_seed(12))
+    assert B.relations.dim == 9
+    assert any(v.denominator != 1 for row in B.relations.basis.rows
+               for v in row)
+    algebras.append(B)
+    for A in algebras:
         for n in range(6):
-            assert A.dim(n) == 2 ** n - component_relations(A, n).dim
+            assert A.dim(n) == A.dim_e ** n - component_relations(A, n).dim
 
 
 def test_normal_words_prefix_closed():

@@ -207,3 +207,35 @@ def test_cli_circ_unit(defs):
     res = run_cli(["circ"], [defs["kt"], defs["kxy"]])
     assert res.returncode == 0
     assert "product:" in res.stdout
+
+
+def test_cli_coefficient_undefined_in_file_field(tmp_path):
+    path = tmp_path / "third.alg"
+    path.write_text("field gf:3\ngenerators x y\ndegree 2\n"
+                    "relation x.x + 2/3*x.y - y.x\n")
+    res = run_cli(["hilbert"], [path])
+    assert res.returncode == 1
+    assert "%s:4:16: coefficient '2/3' is undefined over GF(3)" % path \
+        in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_coefficient_undefined_under_field_override(tmp_path):
+    path = tmp_path / "third.alg"
+    path.write_text("generators x y\ndegree 2\nrelation 1/3*x.y - y.x\n")
+    res = run_cli(["hilbert", "--field", "gf:3"], [path])
+    assert res.returncode == 1
+    assert "%s:3:10: coefficient '1/3' is undefined over GF(3)" % path \
+        in res.stderr
+    assert "Traceback" not in res.stderr
+    res = run_cli(["hilbert", "--nmax", "3", "--field", "gf:5"], [path])
+    assert res.returncode == 0
+    assert "dims: 1 2 3 4" in res.stdout
+
+
+def test_field_override_rereads_coefficients():
+    # -1 read in GF(7) is 6; under a rational override it must stay -1
+    text = "field gf:7\ngenerators x y\ndegree 2\nrelation x.y - 1*y.x\n"
+    defn = parse_definition(text, field_override="rational")
+    assert defn.field_spec == "rational"
+    assert defn == parse_definition(KXY)
