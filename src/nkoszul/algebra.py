@@ -67,6 +67,7 @@ class NHomogeneousAlgebra:
         self._components = [GradedComponent(0, (0,), None)]
         self._relation_rows = None
         self._dual = None
+        self._products = {}
 
     # -- structural equality: same presentation over the same field
     def __eq__(self, other):
@@ -195,16 +196,42 @@ class NHomogeneousAlgebra:
                 comp.lmul_cols = out
         return comp.lmul_cols
 
-    def word_class(self, word):
-        """Class of the basis word (tuple of letters) as a sparse dict."""
-        vec = {0: self.field.one}
-        for k, letter in enumerate(word, start=1):
-            comp = self.component(k)
+    def _times_word(self, vec, m, word):
+        """Class of vec * word, for a sparse degree-m vec and a letter tuple."""
+        field = self.field
+        for deg, letter in enumerate(word, start=m + 1):
+            cols = self.component(deg).rmul_cols[letter]
             new = {}
             for src, c in vec.items():
-                row_axpy(self.field, new, c, comp.rmul_cols[letter][src])
+                row_axpy(field, new, c, cols[src])
             vec = new
         return vec
+
+    def word_class(self, word):
+        """Class of the basis word (tuple of letters) as a sparse dict."""
+        return self._times_word({0: self.field.one}, 0, word)
+
+    def basis_product(self, m, pos_a, k, pos_b):
+        """Memoized product of basis classes pos_a of A_m and pos_b of A_k."""
+        key = (m, pos_a, k, pos_b)
+        vec = self._products.get(key)
+        if vec is None:
+            word = index_word(self.component(k).normal_words[pos_b],
+                              self.dim_e, k)
+            vec = self._times_word({pos_a: self.field.one}, m, word)
+            self._products[key] = vec
+        return vec
+
+    def vector_product(self, m, vec_a, k, vec_b):
+        """Product in A_{m+k} of sparse vectors of degrees m and k."""
+        field = self.field
+        mul = field.mul
+        out = {}
+        for pos_b, cb in vec_b.items():
+            for pos_a, ca in vec_a.items():
+                row_axpy(field, out, mul(ca, cb),
+                         self.basis_product(m, pos_a, k, pos_b))
+        return out
 
     # -- elements -------------------------------------------------------
 
@@ -224,30 +251,17 @@ class NHomogeneousAlgebra:
 
     def multiply(self, a, b):
         """Product of graded elements, exact in normal-word coordinates."""
-        field, g = self.field, self.dim_e
         m, k = a.degree, b.degree
-        target = self.component(m + k)
         if len(a.coords) != self.component(m).dim:
             raise DimensionMismatch("left factor has wrong coordinate length")
-        bcomp = self.component(k)
-        if len(b.coords) != bcomp.dim:
+        if len(b.coords) != self.component(k).dim:
             raise DimensionMismatch("right factor has wrong coordinate length")
-        result = [field.zero] * target.dim
-        for pos_b, cb in enumerate(b.coords):
-            if not cb:
-                continue
-            word = index_word(bcomp.normal_words[pos_b], g, k)
-            vec = {i: ca for i, ca in enumerate(a.coords) if ca}
-            deg = m
-            for letter in word:
-                deg += 1
-                comp = self.component(deg)
-                new = {}
-                for src, c in vec.items():
-                    row_axpy(field, new, c, comp.rmul_cols[letter][src])
-                vec = new
-            for pos, c in vec.items():
-                result[pos] = field.add(result[pos], field.mul(cb, c))
+        vec = self.vector_product(
+            m, {i: c for i, c in enumerate(a.coords) if c},
+            k, {i: c for i, c in enumerate(b.coords) if c})
+        result = [self.field.zero] * self.component(m + k).dim
+        for pos, c in vec.items():
+            result[pos] = c
         return GradedElement(m + k, tuple(result))
 
     # -- duality ----------------------------------------------------------

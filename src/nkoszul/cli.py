@@ -7,6 +7,7 @@ failure.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -16,7 +17,8 @@ from .definitions import (definition_from_algebra, parse_definition,
                           serialize_definition)
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
 from .koszul import (ContractedComplex, generalized_homology, koszul_K,
-                     koszul_L, koszulity_check, tor_dims, verdict_string)
+                     koszul_L, koszulity_check, tor_dims, tor_pure_degree,
+                     verdict_string)
 from .reduction import lemma3_check, reduction_operator
 from .words import index_word
 
@@ -27,7 +29,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    # built once per process: parsing leaves the parser unchanged
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--nmax", type=int, default=None,
                         help="total-degree bound (default 2N+2)")
@@ -207,7 +211,7 @@ def _run(args):
         for i in range(imax + 1):
             dims = [table.get((i, t), 0) for t in range(nmax + 1)]
             report.add("tor i=%d" % i, dims)
-            expected = i // 2 * A.N + (i % 2)
+            expected = tor_pure_degree(i, A.N)
             pure = pure and all(
                 d == 0 for t, d in enumerate(dims) if t != expected)
         report.add("pure", pure)

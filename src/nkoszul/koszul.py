@@ -5,6 +5,12 @@ and lowers the dual-side degree (first letter split off, pushed through
 f, multiplied into C); the cochain complex L(f) lives on B^! (x) C and
 raises it.  Both satisfy d^N = 0.
 
+Every differential here -- K, L and the convolution operators d_alpha --
+is multiplication by one element, so it is a sum of Kronecker products
+sum_l X_l (x) Y_l: an action on C tensored with a first-letter split (or
+its transpose) on the dual side.  ``kron_sum_apply`` is the one routine
+that applies such a sum; its transpose is sum_l X_l^T (x) Y_l^T.
+
 The dual-side component W_m = (B^!_m)* is the annihilator of the
 degree-m relations of B^!; its natural basis is dual to the normal-word
 classes of B^!, so all of its structure (dimensions, first-letter
@@ -15,7 +21,7 @@ from collections import namedtuple
 
 from .algebra import GradedElement, Morphism, circ
 from .errors import ContractViolation, DimensionMismatch
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 from .sparsela import Eliminator, SparseMatrix, pivot_rows_to_subspace, row_axpy
 from .words import index_word
 
@@ -24,6 +30,53 @@ DualComponent = namedtuple("DualComponent", ["m", "space"])
 PositionInfo = namedtuple("PositionInfo",
                           ["label", "c_degree", "w_degree", "dim",
                            "c_dim", "w_dim"])
+
+
+def kron_sum_apply(field, xs, ys, y_src, y_tgt, vec):
+    """Apply sum_l X_l (x) Y_l to a sparse vector, returning a new dict.
+
+    xs[l][x] and ys[l][y] are the sparse columns of X_l and Y_l.  Source
+    coordinates are x * y_src + y, target coordinates x' * y_tgt + y'.
+    """
+    mul, add = field.mul, field.add
+    factors = tuple(zip(xs, ys))
+    out = {}
+    for idx, coeff in vec.items():
+        x, y = divmod(idx, y_src)
+        for xcols, ycols in factors:
+            ycol = ycols[y]
+            if not ycol:
+                continue
+            xcol = xcols[x]
+            if not xcol:
+                continue
+            for tx, cx in xcol.items():
+                base = tx * y_tgt
+                cxo = mul(coeff, cx)
+                for ty, cy in ycol.items():
+                    tix = base + ty
+                    cur = out.get(tix)
+                    if cur is None:
+                        out[tix] = mul(cxo, cy)
+                    else:
+                        s = add(cur, mul(cxo, cy))
+                        if s:
+                            out[tix] = s
+                        else:
+                            del out[tix]
+    return out
+
+
+def _transpose_cols(cols, tgt_dim):
+    """Per factor: sparse columns of a map into tgt_dim, as its rows."""
+    out = []
+    for col_l in cols:
+        rows = [{} for _ in range(tgt_dim)]
+        for src, entries in enumerate(col_l):
+            for tgt, c in entries.items():
+                rows[tgt][src] = c
+        out.append(rows)
+    return out
 
 
 class DualSide:
@@ -46,18 +99,7 @@ class DualSide:
         """
         rows = self._splits.get(m)
         if rows is None:
-            g = self.algebra.dim_e
-            wm = self.bang.dim(m)
-            wm1 = self.bang.dim(m - 1)
-            rows = [[{} for _ in range(wm)] for _ in range(g)]
-            if wm and wm1:
-                lm = self.bang.lmul(m)
-                for letter in range(g):
-                    cols = lm[letter]
-                    target = rows[letter]
-                    for v in range(wm1):
-                        for u, c in cols[v].items():
-                            target[u][v] = c
+            rows = _transpose_cols(self.bang.lmul(m), self.bang.dim(m))
             self._splits[m] = rows
         return rows
 
@@ -106,31 +148,28 @@ def _is_identity_matrix(matrix):
     return True
 
 
-class NComplexSlice:
-    """Total-degree-n slice of K(f); position k holds C_{n-m} (x) W_m, m = n-k.
+class _KoszulSlice:
+    """Positions of one chain of K(f) or L(f) and the maps k -> k+1.
 
-    Coordinates at a position: index = c_position * w_dim + w_position.
-    Differentials go k -> k+1 (the dual-side degree drops by one).
+    A subclass lays out ``positions`` and names the factors of the map out
+    of a position: ``_forward(src, tgt)`` and ``_transposed(src, tgt)``
+    return (xs, ys, y_src, y_tgt) for ``kron_sum_apply``.  Maps leaving
+    the materialized positions are zero.
     """
 
-    def __init__(self, morphism, n):
+    def __init__(self, morphism):
         self.morphism = morphism
         self.source = morphism.source
         self.target = morphism.target
-        self.n = n
+        self.field = self.source.field
         self.N = self.source.N
         self.side = dual_side(self.source)
+        self.bang = self.side.bang
         self._identity = (self.source is self.target
                           and _is_identity_matrix(morphism.matrix))
-        self.positions = []
-        for k in range(n + 1):
-            m = n - k
-            s = n - m
-            c_dim = self.target.dim(s)
-            w_dim = self.side.dim(m)
-            self.positions.append(PositionInfo(m, s, m, c_dim * w_dim,
-                                               c_dim, w_dim))
-        self._gcache = {}
+        self._twists = {}
+        self._ops = {}
+        self._ops_t = {}
         self._mats = {}
         self._ranks = {}
 
@@ -139,157 +178,91 @@ class NComplexSlice:
             return self.positions[k].dim
         return 0
 
-    def _gcols(self, target_degree):
-        """Right multiplication by f(x_letter): C_{s} -> C_{s+1}, per letter."""
-        cols = self._gcache.get(target_degree)
+    def _twisted(self, kind, degree):
+        """Multiplication by f(x_letter), C_{degree-1} -> C_degree, per letter.
+
+        kind is "rmul" (right multiplication, for K) or "lmul" (left, for
+        L).  Cached, since the forward and transposed maps both use it.
+        """
+        key = (kind, degree)
+        cols = self._twists.get(key)
         if cols is None:
-            comp = self.target.component(target_degree)
+            target = self.target
+            base = (target.component(degree).rmul_cols if kind == "rmul"
+                    else target.lmul(degree))
             if self._identity:
-                cols = comp.rmul_cols
+                cols = base
             else:
-                field = self.source.field
+                field = self.field
                 fmat = self.morphism.matrix
-                g = self.source.dim_e
-                src_dim = self.target.dim(target_degree - 1)
+                src_dim = target.dim(degree - 1)
                 cols = []
-                for letter in range(g):
-                    col_l = [dict() for _ in range(src_dim)]
-                    for j in range(self.target.dim_e):
+                for letter in range(self.source.dim_e):
+                    col_l = [{} for _ in range(src_dim)]
+                    for j in range(target.dim_e):
                         c = fmat.rows[j][letter]
                         if c:
                             for src in range(src_dim):
-                                row_axpy(field, col_l[src], c,
-                                         comp.rmul_cols[j][src])
+                                row_axpy(field, col_l[src], c, base[j][src])
                     cols.append(col_l)
-            self._gcache[target_degree] = cols
+            self._twists[key] = cols
         return cols
+
+    def _op(self, cache, build, k):
+        """Cache and return the factors of the map out of position k.
+
+        () stands for the zero map.
+        """
+        op = ()
+        if 0 <= k < len(self.positions) - 1:
+            src, tgt = self.positions[k], self.positions[k + 1]
+            if src.dim and tgt.dim:
+                op = build(src, tgt)
+        cache[k] = op
+        return op
 
     def apply_differential(self, k, vec):
         """Apply d at position k to a sparse vector, returning a new dict."""
-        n = self.n
-        m = n - k
-        if m <= 0 or not vec:
+        op = self._ops.get(k)
+        if op is None:
+            op = self._op(self._ops, self._forward, k)
+        if not op or not vec:
             return {}
-        src = self.positions[k]
-        tgt = self.positions[k + 1]
-        if src.dim == 0 or tgt.dim == 0:
+        return kron_sum_apply(self.field, *op, vec)
+
+    def apply_transposed(self, k, vec):
+        """Apply the transpose of the position-k map to a vector on k+1."""
+        op = self._ops_t.get(k)
+        if op is None:
+            op = self._op(self._ops_t, self._transposed, k)
+        if not op or not vec:
             return {}
-        field = self.source.field
-        mul, add = field.mul, field.add
-        g = self.source.dim_e
-        splits = self.side.split_rows(m)
-        gcols = self._gcols(src.c_degree + 1)
-        w1 = tgt.w_dim
-        out = {}
-        for idx, coeff in vec.items():
-            pos_c, u = divmod(idx, src.w_dim)
-            for letter in range(g):
-                srow = splits[letter][u]
-                if not srow:
-                    continue
-                gcol = gcols[letter][pos_c]
-                if not gcol:
-                    continue
-                for tc, cc in gcol.items():
-                    base = tc * w1
-                    cco = mul(coeff, cc)
-                    for v, sv in srow.items():
-                        tix = base + v
-                        cur = out.get(tix)
-                        if cur is None:
-                            out[tix] = mul(cco, sv)
-                        else:
-                            s = add(cur, mul(cco, sv))
-                            if s:
-                                out[tix] = s
-                            else:
-                                del out[tix]
-        return out
+        return kron_sum_apply(self.field, *op, vec)
 
     def differential(self, k):
         """The map at position k as a sparse matrix (cached)."""
         mat = self._mats.get(k)
         if mat is None:
             src_dim = self.position_dim(k)
-            tgt_dim = self.position_dim(k + 1)
-            field = self.source.field
-            cols = [self.apply_differential(k, {j: field.one})
+            one = self.field.one
+            cols = [self.apply_differential(k, {j: one})
                     for j in range(src_dim)]
-            mat = SparseMatrix(field, tgt_dim, src_dim, cols)
+            mat = SparseMatrix(self.field, self.position_dim(k + 1), src_dim,
+                               cols)
             self._mats[k] = mat
         return mat
-
-    def _tgcols(self, target_degree):
-        """Transpose of _gcols: per letter, target position -> source column."""
-        key = ("t", target_degree)
-        cols = self._gcache.get(key)
-        if cols is None:
-            fwd = self._gcols(target_degree)
-            tgt_dim = self.target.dim(target_degree)
-            cols = []
-            for col_l in fwd:
-                tcol = [dict() for _ in range(tgt_dim)]
-                for src, entries in enumerate(col_l):
-                    for tgt, c in entries.items():
-                        tcol[tgt][src] = c
-                cols.append(tcol)
-            self._gcache[key] = cols
-        return cols
-
-    def apply_transposed(self, k, vec):
-        """Apply the transpose of the position-k map to a vector on k+1."""
-        n = self.n
-        m = n - k
-        if m <= 0 or not vec:
-            return {}
-        src = self.positions[k]
-        tgt = self.positions[k + 1]
-        if src.dim == 0 or tgt.dim == 0:
-            return {}
-        field = self.source.field
-        mul, add = field.mul, field.add
-        g = self.source.dim_e
-        lm = self.side.bang.lmul(m)
-        tgcols = self._tgcols(src.c_degree + 1)
-        w_m = src.w_dim
-        out = {}
-        for idx, coeff in vec.items():
-            tc, v = divmod(idx, tgt.w_dim)
-            for letter in range(g):
-                lcol = lm[letter][v]
-                if not lcol:
-                    continue
-                gcol = tgcols[letter][tc]
-                if not gcol:
-                    continue
-                for pos_c, cc in gcol.items():
-                    base = pos_c * w_m
-                    cco = mul(coeff, cc)
-                    for u, su in lcol.items():
-                        tix = base + u
-                        cur = out.get(tix)
-                        if cur is None:
-                            out[tix] = mul(cco, su)
-                        else:
-                            s = add(cur, mul(cco, su))
-                            if s:
-                                out[tix] = s
-                            else:
-                                del out[tix]
-        return out
 
     def rank_power(self, k, e):
         """Rank of d^e out of position k (zero once the window leaves the slice)."""
         key = (k, e)
         r = self._ranks.get(key)
         if r is None:
-            if k + e > self.n or self.position_dim(k) == 0:
-                r = 0
-            else:
-                field = self.source.field
-                elim = Eliminator(field)
+            r = 0
+            if k + e < len(self.positions) and self.position_dim(k):
+                one = self.field.one
+                elim = Eliminator(self.field)
                 for j in range(self.position_dim(k)):
-                    vec = {j: field.one}
+                    vec = {j: one}
                     for step in range(e):
                         vec = self.apply_differential(k + step, vec)
                         if not vec:
@@ -307,35 +280,66 @@ class NComplexSlice:
         skipped; otherwise the composite is driven from whichever end of
         the window is smaller (forward maps or their transposes).
         """
-        field = self.source.field
+        one = self.field.one
         N = self.N
-        for k in range(self.n - N + 1):
+        for k in range(len(self.positions) - N):
             dims = [self.position_dim(k + j) for j in range(N + 1)]
             if any(d == 0 for d in dims):
                 continue
-            if dims[0] <= dims[-1]:
-                for j in range(dims[0]):
-                    vec = {j: field.one}
-                    for step in range(N):
+            forward = dims[0] <= dims[-1]
+            for j in range(dims[0] if forward else dims[-1]):
+                vec = {j: one}
+                for step in range(N):
+                    if forward:
                         vec = self.apply_differential(k + step, vec)
-                        if not vec:
-                            break
-                    if vec:
-                        raise ContractViolation(
-                            "d^N != 0 at slice n=%d position %d column %d"
-                            % (self.n, k, j))
-            else:
-                for j in range(dims[-1]):
-                    vec = {j: field.one}
-                    for step in range(N - 1, -1, -1):
-                        vec = self.apply_transposed(k + step, vec)
-                        if not vec:
-                            break
-                    if vec:
-                        raise ContractViolation(
-                            "d^N != 0 at slice n=%d position %d row %d"
-                            % (self.n, k, j))
+                    else:
+                        vec = self.apply_transposed(k + N - 1 - step, vec)
+                    if not vec:
+                        break
+                if vec:
+                    raise ContractViolation(
+                        "d^N != 0 %s position %d %s %d"
+                        % (self._where(), k, "column" if forward else "row",
+                           j))
         return True
+
+
+class NComplexSlice(_KoszulSlice):
+    """Total-degree-n slice of K(f); position k holds C_{n-m} (x) W_m, m = n-k.
+
+    Coordinates at a position: index = c_position * w_dim + w_position.
+    Differentials go k -> k+1 (the dual-side degree drops by one): the
+    twisted right multiplication on C tensored with the first-letter split.
+    """
+
+    # bench/spans.py traces these through each class's own __dict__
+    apply_differential = _KoszulSlice.apply_differential
+    apply_transposed = _KoszulSlice.apply_transposed
+    rank_power = _KoszulSlice.rank_power
+    verify_dN = _KoszulSlice.verify_dN
+
+    def __init__(self, morphism, n):
+        super().__init__(morphism)
+        self.n = n
+        self.positions = []
+        for k in range(n + 1):
+            m = n - k
+            c_dim = self.target.dim(k)
+            w_dim = self.side.dim(m)
+            self.positions.append(PositionInfo(m, k, m, c_dim * w_dim,
+                                               c_dim, w_dim))
+
+    def _forward(self, src, tgt):
+        return (self._twisted("rmul", tgt.c_degree),
+                self.side.split_rows(src.w_degree), src.w_dim, tgt.w_dim)
+
+    def _transposed(self, src, tgt):
+        return (_transpose_cols(self._twisted("rmul", tgt.c_degree),
+                                tgt.c_dim),
+                self.bang.lmul(src.w_degree), tgt.w_dim, src.w_dim)
+
+    def _where(self):
+        return "at slice n=%d" % self.n
 
     def __repr__(self):
         return "NComplexSlice(n=%d, dims=%r)" % (
@@ -348,224 +352,45 @@ def koszul_K(morphism, n):
     return NComplexSlice(morphism, n)
 
 
-class LComplexSlice:
+class LComplexSlice(_KoszulSlice):
     """One constant-(s-m) chain of L(f) on B^!_m (x) C_s, m ascending.
 
     Materialized for m <= bound and s <= bound; coordinates at a position:
-    index = b_position * c_dim + c_position.
+    index = b_position * c_dim + c_position.  Differentials: left
+    multiplication on B^! tensored with the twisted left multiplication
+    on C.
     """
 
+    # bench/spans.py traces these through each class's own __dict__
+    apply_differential = _KoszulSlice.apply_differential
+    apply_transposed = _KoszulSlice.apply_transposed
+    rank_power = _KoszulSlice.rank_power
+    verify_dN = _KoszulSlice.verify_dN
+
     def __init__(self, morphism, delta, bound):
-        self.morphism = morphism
-        self.source = morphism.source
-        self.target = morphism.target
+        super().__init__(morphism)
         self.delta = delta
         self.bound = bound
-        self.N = self.source.N
-        self.side = dual_side(self.source)
-        self.bang = self.side.bang
-        self._identity = (self.source is self.target
-                          and _is_identity_matrix(morphism.matrix))
-        self.m_start = max(0, -delta)
-        m_end = min(bound, bound - delta)
         self.positions = []
-        for m in range(self.m_start, m_end + 1):
+        for m in range(max(0, -delta), min(bound, bound - delta) + 1):
             s = m + delta
             b_dim = self.bang.dim(m)
             c_dim = self.target.dim(s)
             self.positions.append(PositionInfo(m, s, m, b_dim * c_dim,
                                                c_dim, b_dim))
-        self._hcache = {}
-        self._mats = {}
 
-    def position_dim(self, k):
-        if 0 <= k < len(self.positions):
-            return self.positions[k].dim
-        return 0
+    def _forward(self, src, tgt):
+        return (self.bang.lmul(tgt.w_degree),
+                self._twisted("lmul", tgt.c_degree), src.c_dim, tgt.c_dim)
 
-    def _hcols(self, target_degree):
-        """Left multiplication by f(x_letter): C_s -> C_{s+1}, per letter."""
-        cols = self._hcache.get(target_degree)
-        if cols is None:
-            lm = self.target.lmul(target_degree)
-            if self._identity:
-                cols = lm
-            else:
-                field = self.source.field
-                fmat = self.morphism.matrix
-                g = self.source.dim_e
-                src_dim = self.target.dim(target_degree - 1)
-                cols = []
-                for letter in range(g):
-                    col_l = [dict() for _ in range(src_dim)]
-                    for j in range(self.target.dim_e):
-                        c = fmat.rows[j][letter]
-                        if c:
-                            for src in range(src_dim):
-                                row_axpy(field, col_l[src], c, lm[j][src])
-                    cols.append(col_l)
-            self._hcache[target_degree] = cols
-        return cols
+    def _transposed(self, src, tgt):
+        return (self.side.split_rows(tgt.w_degree),
+                _transpose_cols(self._twisted("lmul", tgt.c_degree),
+                                tgt.c_dim),
+                tgt.c_dim, src.c_dim)
 
-    def apply_differential(self, k, vec):
-        if not vec or k + 1 >= len(self.positions):
-            return {}
-        src = self.positions[k]
-        tgt = self.positions[k + 1]
-        if src.dim == 0 or tgt.dim == 0:
-            return {}
-        field = self.source.field
-        mul, add = field.mul, field.add
-        g = self.source.dim_e
-        blm = self.bang.lmul(src.w_degree + 1)
-        hcols = self._hcols(src.c_degree + 1)
-        tgt_c = tgt.c_dim
-        out = {}
-        for idx, coeff in vec.items():
-            pos_b, pos_c = divmod(idx, src.c_dim)
-            for letter in range(g):
-                bcol = blm[letter][pos_b]
-                if not bcol:
-                    continue
-                hcol = hcols[letter][pos_c]
-                if not hcol:
-                    continue
-                for vb, cb in bcol.items():
-                    base = vb * tgt_c
-                    cbo = mul(coeff, cb)
-                    for vc, cc in hcol.items():
-                        tix = base + vc
-                        cur = out.get(tix)
-                        if cur is None:
-                            out[tix] = mul(cbo, cc)
-                        else:
-                            s = add(cur, mul(cbo, cc))
-                            if s:
-                                out[tix] = s
-                            else:
-                                del out[tix]
-        return out
-
-    def differential(self, k):
-        mat = self._mats.get(k)
-        if mat is None:
-            src_dim = self.position_dim(k)
-            tgt_dim = self.position_dim(k + 1)
-            field = self.source.field
-            cols = [self.apply_differential(k, {j: field.one})
-                    for j in range(src_dim)]
-            mat = SparseMatrix(field, tgt_dim, src_dim, cols)
-            self._mats[k] = mat
-        return mat
-
-    def _thcols(self, target_degree):
-        """Transpose of _hcols: per letter, target position -> source column."""
-        key = ("t", target_degree)
-        cols = self._hcache.get(key)
-        if cols is None:
-            fwd = self._hcols(target_degree)
-            tgt_dim = self.target.dim(target_degree)
-            cols = []
-            for col_l in fwd:
-                tcol = [dict() for _ in range(tgt_dim)]
-                for src, entries in enumerate(col_l):
-                    for tgt, c in entries.items():
-                        tcol[tgt][src] = c
-                cols.append(tcol)
-            self._hcache[key] = cols
-        return cols
-
-    def apply_transposed(self, k, vec):
-        """Apply the transpose of the position-k map to a vector on k+1."""
-        if not vec or k + 1 >= len(self.positions):
-            return {}
-        src = self.positions[k]
-        tgt = self.positions[k + 1]
-        if src.dim == 0 or tgt.dim == 0:
-            return {}
-        field = self.source.field
-        mul, add = field.mul, field.add
-        g = self.source.dim_e
-        splits = self.side.split_rows(src.w_degree + 1)
-        thcols = self._thcols(src.c_degree + 1)
-        src_c = src.c_dim
-        out = {}
-        for idx, coeff in vec.items():
-            vb, vc = divmod(idx, tgt.c_dim)
-            for letter in range(g):
-                brow = splits[letter][vb]
-                if not brow:
-                    continue
-                hrow = thcols[letter][vc]
-                if not hrow:
-                    continue
-                for pos_b, cb in brow.items():
-                    base = pos_b * src_c
-                    cbo = mul(coeff, cb)
-                    for pos_c, cc in hrow.items():
-                        tix = base + pos_c
-                        cur = out.get(tix)
-                        if cur is None:
-                            out[tix] = mul(cbo, cc)
-                        else:
-                            s = add(cur, mul(cbo, cc))
-                            if s:
-                                out[tix] = s
-                            else:
-                                del out[tix]
-        return out
-
-    def rank_power(self, k, e):
-        """Rank of d^e out of position k; maps leaving the window count as zero."""
-        if k + e >= len(self.positions) or self.position_dim(k) == 0:
-            return 0
-        field = self.source.field
-        elim = Eliminator(field)
-        for j in range(self.position_dim(k)):
-            vec = {j: field.one}
-            for step in range(e):
-                vec = self.apply_differential(k + step, vec)
-                if not vec:
-                    break
-            if vec:
-                elim.add(vec)
-        return elim.rank
-
-    def verify_dN(self):
-        """d^N = 0 on every window whose N+1 positions are all materialized.
-
-        Same strategy as the chain side: skip windows through a zero
-        position, drive each survivor from its smaller end.
-        """
-        field = self.source.field
-        N = self.N
-        for k in range(len(self.positions) - N):
-            dims = [self.position_dim(k + j) for j in range(N + 1)]
-            if any(d == 0 for d in dims):
-                continue
-            if dims[0] <= dims[-1]:
-                for j in range(dims[0]):
-                    vec = {j: field.one}
-                    for step in range(N):
-                        vec = self.apply_differential(k + step, vec)
-                        if not vec:
-                            break
-                    if vec:
-                        raise ContractViolation(
-                            "d^N != 0 on L chain delta=%d position %d column %d"
-                            % (self.delta, k, j))
-            else:
-                for j in range(dims[-1]):
-                    vec = {j: field.one}
-                    for step in range(N - 1, -1, -1):
-                        vec = self.apply_transposed(k + step, vec)
-                        if not vec:
-                            break
-                    if vec:
-                        raise ContractViolation(
-                            "d^N != 0 on L chain delta=%d position %d row %d"
-                            % (self.delta, k, j))
-        return True
+    def _where(self):
+        return "on L chain delta=%d" % self.delta
 
     def __repr__(self):
         return "LComplexSlice(delta=%d, dims=%r)" % (
@@ -811,34 +636,7 @@ class _BarBlock:
                 continue
 
 
-class _PairProducts:
-    """Memoized products of normal-word basis classes."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.cache = {}
-
-    def product(self, m, pos_a, k, pos_b):
-        key = (m, pos_a, k, pos_b)
-        vec = self.cache.get(key)
-        if vec is None:
-            alg = self.algebra
-            word = index_word(alg.component(k).normal_words[pos_b],
-                              alg.dim_e, k)
-            vec = {pos_a: alg.field.one}
-            deg = m
-            for letter in word:
-                deg += 1
-                comp = alg.component(deg)
-                new = {}
-                for src, c in vec.items():
-                    row_axpy(alg.field, new, c, comp.rmul_cols[letter][src])
-                vec = new
-            self.cache[key] = vec
-        return vec
-
-
-def _bar_matrix(algebra, blocks, products, i, t):
+def _bar_matrix(algebra, blocks, i, t):
     """Differential (A_+)^(x)i -> (A_+)^(x)(i-1) in total degree t."""
     field = algebra.field
     src = blocks[(i, t)]
@@ -850,8 +648,8 @@ def _bar_matrix(algebra, blocks, products, i, t):
         for j in range(i - 1):
             merged = comp[:j] + (comp[j] + comp[j + 1],) + comp[j + 2:]
             if merged in tgt.offsets:
-                prod = products.product(comp[j], poss[j],
-                                        comp[j + 1], poss[j + 1])
+                prod = algebra.basis_product(comp[j], poss[j],
+                                             comp[j + 1], poss[j + 1])
                 for pos_m, c in prod.items():
                     new_poss = poss[:j] + (pos_m,) + poss[j + 2:]
                     tix = tgt.index(merged, new_poss)
@@ -880,14 +678,13 @@ def tor_dims(algebra, i_max, n_max):
     for i in range(i_max + 2):
         for t in range(n_max + 1):
             blocks[(i, t)] = _BarBlock(algebra, i, t)
-    products = _PairProducts(algebra)
     ranks = {}
     for i in range(1, i_max + 2):
         for t in range(n_max + 1):
             if blocks[(i, t)].dim == 0 or blocks[(i - 1, t)].dim == 0:
                 ranks[(i, t)] = 0
                 continue
-            mat = _bar_matrix(algebra, blocks, products, i, t)
+            mat = _bar_matrix(algebra, blocks, i, t)
             ranks[(i, t)] = mat.rank()
     table = {}
     for i in range(i_max + 1):
@@ -960,6 +757,19 @@ class GradedMap:
         return cls({1: morphism.matrix})
 
 
+def _column(mat, j):
+    """Column j of a dense Matrix as a sparse dict."""
+    return {i: row[j] for i, row in enumerate(mat.rows) if row[j]}
+
+
+def _block_offsets(target, side, t):
+    """Offsets of the blocks C_{t-m} (x) W_m, m = 0..t, then their total."""
+    offsets = [0]
+    for m in range(t + 1):
+        offsets.append(offsets[-1] + target.dim(t - m) * side.dim(m))
+    return offsets
+
+
 class ConvolutionContext:
     """Convolution algebra structure on degree-0 maps (B^!)* -> C."""
 
@@ -969,18 +779,6 @@ class ConvolutionContext:
         self.side = dual_side(source)
         self.bang = self.side.bang
         self.field = source.field
-        self._bang_products = _PairProducts(self.bang)
-        self._c_products = _PairProducts(target)
-
-    def _multiply_c(self, k, vec_a, l, vec_b):
-        """Product in C of sparse degree-k and degree-l vectors."""
-        field = self.field
-        out = {}
-        for pb, cb in vec_b.items():
-            for pa, ca in vec_a.items():
-                prod = self._c_products.product(k, pa, l, pb)
-                row_axpy(field, out, field.mul(ca, cb), prod)
-        return out
 
     def convolve(self, alpha, beta, m_max):
         """alpha * beta up to degree m_max.
@@ -1005,21 +803,19 @@ class ConvolutionContext:
                     continue
                 wk, wl = self.side.dim(k), self.side.dim(l)
                 for a in range(wk):
-                    va = {i: amat.rows[i][a] for i in range(amat.nrows)
-                          if amat.rows[i][a]}
+                    va = _column(amat, a)
                     if not va:
                         continue
                     for b in range(wl):
-                        vb = {i: bmat.rows[i][b] for i in range(bmat.nrows)
-                              if bmat.rows[i][b]}
+                        vb = _column(bmat, b)
                         if not vb:
                             continue
                         # coproduct coefficients: the (a,b) entry of Delta
                         # is the (a*b -> u) structure constant of the dual
-                        pv = self._bang_products.product(k, a, l, b)
+                        pv = self.bang.basis_product(k, a, l, b)
                         if not pv:
                             continue
-                        cprod = self._multiply_c(k, va, l, vb)
+                        cprod = self.target.vector_product(k, va, l, vb)
                         if not cprod:
                             continue
                         for u, du in pv.items():
@@ -1041,63 +837,44 @@ class ConvolutionContext:
         """The operator of alpha on the total-degree-t part of C (x) (B^!)*.
 
         Block from W_m to W_{m-k} sends c (x) u-hat to the sum over
-        coproduct components of (c * alpha_k(a-hat)) (x) b-hat.
+        coproduct components of (c * alpha_k(a-hat)) (x) b-hat: the
+        Kronecker sum over basis elements a of B^!_k of right
+        multiplication by alpha_k(a-hat) on C and the transpose of left
+        multiplication by a on B^!.
         """
-        field = self.field
-        dims = []
-        offsets = []
-        off = 0
-        for m in range(t + 1):
-            offsets.append(off)
-            d = self.target.dim(t - m) * self.side.dim(m)
-            dims.append(d)
-            off += d
-        total = off
-        cols = [dict() for _ in range(total)]
+        field, one = self.field, self.field.one
+        offsets = _block_offsets(self.target, self.side, t)
+        cols = [dict() for _ in range(offsets[-1])]
         for m in range(t + 1):
             wm = self.side.dim(m)
             cs = self.target.dim(t - m)
             if wm == 0 or cs == 0:
                 continue
             for k in alpha.degrees():
-                if k > m:
-                    continue
                 mk = m - k
+                if mk < 0:
+                    continue
                 wmk = self.side.dim(mk)
-                ctk = self.target.dim(t - mk)
-                if wmk == 0 or ctk == 0:
+                if wmk == 0 or self.target.dim(t - mk) == 0:
                     continue
                 amat = alpha.component(k)
+                xs, ys = [], []
                 for a in range(self.side.dim(k)):
-                    va = {i: amat.rows[i][a] for i in range(amat.nrows)
-                          if amat.rows[i][a]}
+                    va = _column(amat, a)
                     if not va:
                         continue
-                    for b in range(wmk):
-                        pv = self._bang_products.product(k, a, mk, b)
-                        if not pv:
-                            continue
-                        # right multiplication by alpha_k(a-hat): C_{t-m} -> C_{t-mk}
-                        for pos_c in range(cs):
-                            rm = self._multiply_c(t - m, {pos_c: field.one},
-                                                  k, va)
-                            if not rm:
-                                continue
-                            for u, du in pv.items():
-                                src = offsets[m] + pos_c * wm + u
-                                for tc, cc in rm.items():
-                                    tix = offsets[mk] + tc * wmk + b
-                                    cur = cols[src].get(tix)
-                                    val = field.mul(du, cc)
-                                    if cur is None:
-                                        cols[src][tix] = val
-                                    else:
-                                        s = field.add(cur, val)
-                                        if s:
-                                            cols[src][tix] = s
-                                        else:
-                                            del cols[src][tix]
-        return SparseMatrix(field, total, total, cols)
+                    xs.append([self.target.vector_product(t - m, {c: one},
+                                                          k, va)
+                               for c in range(cs)])
+                    ys.append([self.bang.basis_product(k, a, mk, b)
+                               for b in range(wmk)])
+                ys = _transpose_cols(ys, wm)
+                for j in range(cs * wm):
+                    col = cols[offsets[m] + j]
+                    for i, v in kron_sum_apply(field, xs, ys, wm, wmk,
+                                               {j: one}).items():
+                        col[offsets[mk] + i] = v
+        return SparseMatrix(field, offsets[-1], offsets[-1], cols)
 
 
 def _sparse_equal(a, b):
@@ -1155,23 +932,13 @@ def _random_graded_map(ctx, m_max, rng):
 def _k_differential_total(morphism, t):
     """All K(f)^t differentials assembled as one endo-sized sparse matrix."""
     sl = koszul_K(morphism, t)
-    side = dual_side(morphism.source)
-    field = morphism.source.field
-    dims = []
-    offsets = []
-    off = 0
-    for m in range(t + 1):
-        offsets.append(off)
-        d = morphism.target.dim(t - m) * side.dim(m)
-        dims.append(d)
-        off += d
-    total = off
+    offsets = _block_offsets(morphism.target, dual_side(morphism.source), t)
+    total = offsets[-1]
     cols = [dict() for _ in range(total)]
     for m in range(1, t + 1):
-        k = t - m  # position index in the slice
-        mat = sl.differential(k)
+        mat = sl.differential(t - m)  # position t - m holds W_m
         for j, col in enumerate(mat.cols):
-            src = offsets[m] + j
+            src = cols[offsets[m] + j]
             for i, v in col.items():
-                cols[src][offsets[m - 1] + i] = v
-    return SparseMatrix(field, total, total, cols)
+                src[offsets[m - 1] + i] = v
+    return SparseMatrix(morphism.source.field, total, total, cols)

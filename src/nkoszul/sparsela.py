@@ -111,6 +111,15 @@ class Eliminator:
         self.pivot_rows = {}  # pivot column -> row dict
         self._integer_rows = field.kind == "rational"
         self._finalized = False
+        if self._integer_rows:
+            self._clear = int_eliminate
+        else:
+            neg = field.neg
+
+            def clear(row, j, prow):
+                # prow has entry 1 at j
+                row_axpy(field, row, neg(row[j]), prow)
+            self._clear = clear
 
     def reduce(self, row):
         """Eliminate all known pivots from row (row is consumed).
@@ -119,29 +128,19 @@ class Eliminator:
         primitive integer row over QQ.
         """
         pivot_rows = self.pivot_rows
-        if self._integer_rows:
-            while True:
-                # ascending: a stored row is zero left of its pivot, so no
-                # column cleared in this pass comes back; each clearing
-                # scales the whole row, so clearing one twice is costly
-                hits = sorted(j for j in row if j in pivot_rows)
-                if not hits:
-                    return row
-                for j in hits:
-                    if j in row:
-                        int_eliminate(row, j, pivot_rows[j])
-                remove_content(row)
-                # new fill-in may have introduced fresh pivot columns
-        field = self.field
-        neg = field.neg
+        clear = self._clear
         while True:
-            hits = [j for j in row if j in pivot_rows]
+            # ascending: a stored row is zero left of its pivot, so no
+            # column cleared in this pass comes back (in dict order,
+            # fill-in re-creates columns already cleared)
+            hits = sorted(j for j in row if j in pivot_rows)
             if not hits:
                 return row
             for j in hits:
-                c = row.get(j)
-                if c:
-                    row_axpy(field, row, neg(c), pivot_rows[j])
+                if j in row:
+                    clear(row, j, pivot_rows[j])
+            if self._integer_rows:
+                remove_content(row)
             # new fill-in may have introduced fresh pivot columns
 
     def add(self, row):
@@ -170,30 +169,22 @@ class Eliminator:
         """Back-substitute to full RREF (idempotent)."""
         if self._finalized:
             return
-        field = self.field
         pivot_rows = self.pivot_rows
-        if self._integer_rows:
-            for piv in sorted(pivot_rows, reverse=True):
-                src = pivot_rows[piv]
-                for other_piv, row in pivot_rows.items():
-                    if other_piv < piv and piv in row:
-                        int_eliminate(row, piv, src)
+        clear = self._clear
+        for piv in sorted(pivot_rows, reverse=True):
+            src = pivot_rows[piv]
+            for other_piv, row in pivot_rows.items():
+                if other_piv < piv and piv in row:
+                    clear(row, piv, src)
+                    if self._integer_rows:
                         remove_content(row)
-            ratio, one = field.ratio, field.one
+        if self._integer_rows:
+            ratio, one = self.field.ratio, self.field.one
             for piv, row in pivot_rows.items():
                 p = row[piv]
                 for j in row:
                     row[j] = ratio(row[j], p)
                 row[piv] = one
-        else:
-            neg = field.neg
-            for piv in sorted(pivot_rows, reverse=True):
-                src = pivot_rows[piv]
-                for other_piv, row in pivot_rows.items():
-                    if other_piv < piv:
-                        c = row.get(piv)
-                        if c:
-                            row_axpy(field, row, neg(c), src)
         self._finalized = True
 
 

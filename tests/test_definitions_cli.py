@@ -239,3 +239,27 @@ def test_field_override_rereads_coefficients():
     defn = parse_definition(text, field_override="rational")
     assert defn.field_spec == "rational"
     assert defn == parse_definition(KXY)
+
+
+def test_cli_main_repeated_in_one_process(defs, capsys):
+    # main reuses one parser per process; options of one call must not
+    # leak into the next
+    from nkoszul import cli
+    w3, kxy = defs["wedge3"], defs["kxy"]
+    runs = [(["koszul-complex", "--family", "L", "--nmax", "4"], w3),
+            (["koszul-complex", "--nmax", "4"], w3),
+            (["homology", "--p", "1", "--nmax", "4"], w3),
+            (["homology", "--nmax", "4"], w3),
+            (["contracted", "--p", "1", "--nmax", "4"], w3),
+            (["contracted", "--nmax", "4"], w3),
+            (["hilbert", "--nmax", "4", "--json"], kxy),
+            (["hilbert", "--nmax", "4"], kxy)]
+    outputs = []
+    for args, path in runs:
+        assert cli.main(args + [str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == len(outputs)
+    for (args, path), out in zip(runs, outputs):
+        fresh = run_cli(args, [path])
+        assert fresh.returncode == 0
+        assert fresh.stdout == out

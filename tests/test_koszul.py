@@ -12,7 +12,7 @@ from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             koszulity_check, lemma2_check, slice_acyclic,
                             tor_dims, tor_pure_degree, tor_purity,
                             verdict_string)
-from nkoszul.linalg import Subspace, subspace_intersect
+from nkoszul.linalg import Matrix, Subspace, rank, subspace_intersect
 from nkoszul.sampling import (random_algebra, random_isomorphism,
                               rng_from_seed)
 from nkoszul.words import block_embed
@@ -58,18 +58,61 @@ def test_slice_dims_are_products():
         assert info.dim == info.c_dim * info.w_dim
 
 
+def _twisted_inputs():
+    """Identity and non-identity morphisms for the K and L operators."""
+    rng = rng_from_seed(37)
+    B = random_algebra(2, 3, rng, dim_r=3)
+    f = random_isomorphism(B, rng)
+    assert f.target is not f.source
+    return [Morphism.identity(commutator_algebra()), Morphism.identity(B), f]
+
+
+def _chains(morphism, bound):
+    return ([koszul_K(morphism, n) for n in range(bound + 1)]
+            + koszul_L(morphism, bound))
+
+
 def test_differential_matrix_matches_transposed_apply():
-    A = commutator_algebra()
-    sl = koszul_K(Morphism.identity(A), 2)
-    for k in range(2):
-        mat = sl.differential(k)
-        back = {}
-        for i in range(sl.position_dim(k + 1)):
-            col = sl.apply_transposed(k, {i: QQ.one})
-            for j, c in col.items():
-                back.setdefault(j, {})[i] = c
-        for j, col in enumerate(mat.cols):
-            assert back.get(j, {}) == col
+    nonzero = 0
+    for morphism in _twisted_inputs():
+        for sl in _chains(morphism, 4):
+            for k in range(len(sl.positions) - 1):
+                mat = sl.differential(k)
+                back = {}
+                for i in range(sl.position_dim(k + 1)):
+                    col = sl.apply_transposed(k, {i: QQ.one})
+                    for j, c in col.items():
+                        back.setdefault(j, {})[i] = c
+                for j, col in enumerate(mat.cols):
+                    assert back.get(j, {}) == col
+                nonzero += not mat.is_zero()
+    assert nonzero > 20
+
+
+def _dense(mat):
+    rows = [[QQ.zero] * mat.ncols for _ in range(mat.nrows)]
+    for j, col in enumerate(mat.cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    return Matrix(QQ, mat.nrows, mat.ncols, rows)
+
+
+def test_rank_power_matches_composed_differentials():
+    for morphism in _twisted_inputs():
+        N = morphism.source.N
+        for sl in _chains(morphism, 4):
+            npos = len(sl.positions)
+            for k in range(npos):
+                for e in range(1, N + 1):
+                    expected = 0
+                    if k + e < npos:
+                        mat = sl.differential(k)
+                        for step in range(1, e):
+                            mat = sl.differential(k + step).compose(mat)
+                        if mat.nrows and mat.ncols:
+                            expected = rank(_dense(mat))
+                    assert sl.rank_power(k, e) == expected
+                    assert sl.rank_power(k, e) == expected   # cached
 
 
 def test_d_to_the_N_vanishes_on_small_fixtures():
