@@ -4,13 +4,17 @@ Rows are dicts {column index: nonzero scalar}.  The public dense module
 is the reference implementation; this one exists because graded pieces
 of tensor algebras are huge and mostly empty.
 
-Over GF(p) the eliminator works on field scalars throughout.  Over QQ it
-works fraction-free: each incoming row is cleared of denominators and of
-its content once, and is then reduced as a primitive integer row
-(Bareiss-style, ``row := (p*row - c*prow) / gcd(c, p)``).  Only
+``Eliminator`` reduces each incoming row in a single ascending pass over
+the stored pivot columns it meets, fill-in included, with one clearing
+step per field.  Over GF(p) the step is an inlined ``row -= c*prow mod
+p`` on field scalars.  Over QQ the eliminator works fraction-free: each
+incoming row is cleared of denominators and of its content, is reduced
+as an integer row (Bareiss-style, ``row := (p*row - c*prow) / gcd(c, p)``)
+and loses its content once more at the end of the pass.  Only
 ``Eliminator.finalize`` turns the stored rows back into field scalars.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import ContractViolation, DimensionMismatch
@@ -29,12 +33,6 @@ def row_axpy(field, target, c, source):
                 target[j] = s
             else:
                 del target[j]
-
-
-def row_scale(field, row, c):
-    mul = field.mul
-    for j in list(row):
-        row[j] = mul(c, row[j])
 
 
 def primitive_row(row):
@@ -62,11 +60,13 @@ def remove_content(row):
                 row[j] //= content
 
 
-def int_eliminate(row, j, prow):
+def int_eliminate(row, j, prow, pivot_rows, heap):
     """row := (p*row - c*prow) / gcd(c, p) in place, which clears column j.
 
     Here c = row[j] and p = prow[j]; both rows hold integers.  The
     combination is negated when p < 0, so row's multiplier is positive.
+    Every column the step creates that is a key of pivot_rows is pushed
+    onto heap.
     """
     c, p = row[j], prow[j]
     g = gcd(c, p)
@@ -82,6 +82,8 @@ def int_eliminate(row, j, prow):
         cur = get(k)
         if cur is None:
             row[k] = -c * v
+            if k in pivot_rows:
+                heappush(heap, k)
         else:
             s = cur - c * v
             if s:
@@ -90,11 +92,41 @@ def int_eliminate(row, j, prow):
                 del row[k]
 
 
+def gf_eliminator(p):
+    """The GF(p) twin of int_eliminate: row -= row[j] * prow, mod p.
+
+    prow has entry 1 at j, so the row is not scaled and keeps its
+    scalars in [1, p).
+    """
+    def gf_eliminate(row, j, prow, pivot_rows, heap):
+        c = row[j]
+        get = row.get
+        for k, v in prow.items():
+            cur = get(k)
+            if cur is None:
+                row[k] = -c * v % p
+                if k in pivot_rows:
+                    heappush(heap, k)
+            else:
+                s = (cur - c * v) % p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+    return gf_eliminate
+
+
 class Eliminator:
     """Incremental Gaussian elimination with ascending column pivots.
 
     Feed rows with add(); finalize() back-substitutes so the stored rows
     become the unique RREF of everything fed in.
+
+    add() reduces a row in one ascending pass: a heap holds the row's
+    columns that are stored pivots, and the smallest one is cleared next.
+    Clearing column j only creates columns right of j (a stored row is zero
+    left of its pivot), so a cleared column never comes back, and each new
+    column that is a stored pivot is pushed as it appears.
 
     ``pivot_rows`` maps each pivot column to its stored row and may be read
     at any time.  Over GF(p) every stored row has entry 1 at its pivot.
@@ -111,50 +143,47 @@ class Eliminator:
         self.pivot_rows = {}  # pivot column -> row dict
         self._integer_rows = field.kind == "rational"
         self._finalized = False
-        if self._integer_rows:
-            self._clear = int_eliminate
-        else:
-            neg = field.neg
-
-            def clear(row, j, prow):
-                # prow has entry 1 at j
-                row_axpy(field, row, neg(row[j]), prow)
-            self._clear = clear
+        self._clear = (int_eliminate if self._integer_rows
+                       else gf_eliminator(field.p))
 
     def reduce(self, row):
         """Eliminate all known pivots from row (row is consumed).
 
-        The row is given in the stored form: field scalars over GF(p), a
-        primitive integer row over QQ.
+        The row is given in the stored form: scalars in [1, p) over
+        GF(p), a primitive integer row over QQ.
         """
         pivot_rows = self.pivot_rows
+        heap = [j for j in row if j in pivot_rows]
+        if not heap:
+            return row
+        heapify(heap)
         clear = self._clear
-        while True:
-            # ascending: a stored row is zero left of its pivot, so no
-            # column cleared in this pass comes back (in dict order,
-            # fill-in re-creates columns already cleared)
-            hits = sorted(j for j in row if j in pivot_rows)
-            if not hits:
-                return row
-            for j in hits:
-                if j in row:
-                    clear(row, j, pivot_rows[j])
-            if self._integer_rows:
-                remove_content(row)
-            # new fill-in may have introduced fresh pivot columns
+        while heap:
+            j = heappop(heap)
+            if j in row:
+                clear(row, j, pivot_rows[j], pivot_rows, heap)
+        if self._integer_rows:
+            remove_content(row)
+        return row
 
     def add(self, row):
         """Reduce and store row; returns its pivot column or None."""
         if self._finalized:
             raise ContractViolation("eliminator already finalized")
-        row = self.reduce(primitive_row(row) if self._integer_rows
-                          else dict(row))
+        integer = self._integer_rows
+        if integer:
+            row = primitive_row(row)
+        else:
+            p = self.field.p
+            row = {j: r for j, v in row.items() if (r := v % p)}
+        row = self.reduce(row)
         if not row:
             return None
         piv = min(row)
-        c = row[piv]
-        if not self._integer_rows and c != self.field.one:
-            row_scale(self.field, row, self.field.inv(c))
+        if not integer and row[piv] != 1:
+            inv = pow(row[piv], -1, p)
+            for j in row:
+                row[j] = row[j] * inv % p
         self.pivot_rows[piv] = row
         return piv
 
@@ -175,7 +204,8 @@ class Eliminator:
             src = pivot_rows[piv]
             for other_piv, row in pivot_rows.items():
                 if other_piv < piv and piv in row:
-                    clear(row, piv, src)
+                    # only column piv is cleared here: no pivots to queue
+                    clear(row, piv, src, (), None)
                     if self._integer_rows:
                         remove_content(row)
         if self._integer_rows:

@@ -1,6 +1,7 @@
 """Sparse elimination against the dense Gauss-Jordan oracle."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,18 +9,21 @@ from hypothesis import given, settings, strategies as st
 from nkoszul.errors import ContractViolation
 from nkoszul.fields import GF, QQ
 from nkoszul.linalg import Matrix, rref
-from nkoszul.sparsela import Eliminator
+from nkoszul.sparsela import Eliminator, SparseMatrix
 
 SCALARS = st.one_of(
     st.integers(-6, 6),
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8)))
+# about half the entries zero, so stored rows meet pivots a new row lacks
+SPARSE_SCALARS = st.one_of(st.just(0), SCALARS)
+GF7 = GF(7)
 
 
 @st.composite
-def qq_rows(draw):
+def qq_rows(draw, scalars=SCALARS):
     """Narrow dense QQ rows: integer and a/b entries, zero and dependent rows."""
     ncols = draw(st.integers(1, 12))
-    row = st.lists(SCALARS, min_size=ncols, max_size=ncols)
+    row = st.lists(scalars, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, max_size=6))
     if draw(st.booleans()):
         rows.append([0] * ncols)
@@ -50,11 +54,57 @@ def oracle(field, ncols, rows):
     return list(pivots), red.rows
 
 
+def mod7(rows):
+    """QQ rows mapped to GF(7); an entry with denominator 7 becomes 0."""
+    return [[GF7.coerce(x) if x.denominator % 7 else GF7.zero for x in row]
+            for row in rows]
+
+
 def fed(field, rows):
     elim = Eliminator(field)
     for row in rows:
         elim.add(sparse(row))
     return elim
+
+
+def multipass_pivot_rows(field, rows):
+    """The stored rows before finalize(), by a slow multi-pass loop.
+
+    Each pass clears the pivot columns of the row in ascending order, and
+    passes repeat until fill-in brings no stored pivot column back.  Rows
+    are reduced in field scalars, then stored as Eliminator stores them:
+    over GF(p) with pivot entry 1; over QQ as the primitive integer row
+    that is a positive multiple of the reduced row.
+    """
+    stored = {}
+    for row in rows:
+        row = sparse(row)
+        while True:
+            hits = sorted(j for j in row if j in stored)
+            if not hits:
+                break
+            for j in hits:
+                if j in row:
+                    prow = stored[j]
+                    c = field.div(row[j], prow[j])
+                    for k, v in prow.items():
+                        s = field.sub(row.get(k, field.zero), field.mul(c, v))
+                        if s:
+                            row[k] = s
+                        else:
+                            row.pop(k, None)
+        if not row:
+            continue
+        piv = min(row)
+        if field.kind == "rational":
+            den = lcm(*(Fraction(v).denominator for v in row.values()))
+            nums = {k: int(v * den) for k, v in row.items()}
+            g = gcd(*nums.values())
+            stored[piv] = {k: v // g for k, v in nums.items()}
+        else:
+            inv = field.inv(row[piv])
+            stored[piv] = {k: field.mul(inv, v) for k, v in row.items()}
+    return stored
 
 
 @settings(max_examples=80, deadline=None)
@@ -100,18 +150,81 @@ def test_finalize_is_idempotent_and_yields_field_scalars(case):
         elim.add({0: QQ.one})
 
 
+@settings(max_examples=80, deadline=None)
+@given(qq_rows())
+def test_prime_field_rank_and_pivot_rows_before_finalize(case):
+    ncols, rows = case
+    rows = mod7(rows)
+    pivots, red = oracle(GF7, ncols, rows)
+    elim = fed(GF7, rows)
+    assert elim.rank == len(pivots)
+    assert elim.pivots() == pivots
+    for p in pivots:
+        assert min(elim.pivot_rows[p]) == p
+        assert elim.pivot_rows[p][p] == 1
+    stored = [dense(GF7, ncols, elim.pivot_rows[p]) for p in pivots]
+    assert oracle(GF7, ncols, stored) == (pivots, red)
+
+
 @settings(max_examples=40, deadline=None)
 @given(qq_rows())
 def test_prime_field_matches_dense_oracle(case):
     ncols, rows = case
-    F = GF(7)
-    rows = [[F.coerce(x) if x.denominator % 7 else F.zero for x in row]
-            for row in rows]
-    pivots, red = oracle(F, ncols, rows)
-    elim = fed(F, rows)
+    rows = mod7(rows)
+    pivots, red = oracle(GF7, ncols, rows)
+    elim = fed(GF7, rows)
     assert elim.pivots() == pivots
     elim.finalize()
-    assert [dense(F, ncols, elim.pivot_rows[p]) for p in pivots] == red
+    assert [dense(GF7, ncols, elim.pivot_rows[p]) for p in pivots] == red
+
+
+@settings(max_examples=100, deadline=None)
+@given(qq_rows(SPARSE_SCALARS), st.sampled_from([QQ, GF7]))
+def test_single_pass_stores_the_multipass_rows(case, field):
+    ncols, rows = case
+    if field is GF7:
+        rows = mod7(rows)
+    elim = fed(field, rows)
+    assert elim.pivot_rows == multipass_pivot_rows(field, rows)
+
+
+def test_fill_in_brings_a_pivot_the_row_lacked():
+    # clearing column 0 of {0: 1, 3: 1} with the row stored at pivot 0
+    # creates column 1, which is itself a stored pivot
+    elim = Eliminator(QQ)
+    assert elim.add({0: QQ.coerce(2), 1: QQ.coerce(3)}) == 0
+    assert elim.add({1: QQ.one, 2: QQ.coerce(5)}) == 1
+    assert elim.add({0: QQ.one, 3: QQ.one}) == 2
+    assert elim.pivot_rows == {0: {0: 2, 1: 3}, 1: {1: 1, 2: 5},
+                               2: {2: 15, 3: 2}}
+
+    elim = Eliminator(GF7)
+    assert elim.add({0: 2, 1: 3}) == 0
+    assert elim.add({1: 1, 2: 5}) == 1
+    assert elim.add({0: 1, 3: 1}) == 2
+    assert elim.pivot_rows == {0: {0: 1, 1: 5}, 1: {1: 1, 2: 5},
+                               2: {2: 1, 3: 2}}
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF(7)"])
+def test_row_cancels_to_empty_after_fill_in(field):
+    # {0: 1, 2: -2} = P0 - 2*P1; clearing column 0 creates column 1
+    elim = Eliminator(field)
+    one, two = field.one, field.coerce(2)
+    assert elim.add({0: one, 1: two}) == 0
+    assert elim.add({1: one, 2: one}) == 1
+    assert elim.add({0: one, 2: field.neg(two)}) is None
+    assert elim.rank == 2
+    assert elim.pivots() == [0, 1]
+
+
+def test_prime_field_ignores_entries_that_vanish_mod_p():
+    for row in ({0: 0, 2: 3}, {0: 7, 2: 3}):
+        elim = Eliminator(GF7)
+        assert elim.add(row) == 2
+        assert elim.pivot_rows == {2: {2: 1}}
+    cols = [{0: 7, 2: 3}, {0: 14}, {1: 0, 2: 6}]
+    assert SparseMatrix(GF7, 3, 3, cols).rank() == 1
 
 
 def test_add_reports_pivot_or_none():
