@@ -11,14 +11,23 @@ space) plus sparse matrices for right/left multiplication by generators.
 Normal words are prefix-closed: the degree-n relation space contains
 rel_{n-1} (x) E, whose reduced pivots are exactly (pivot word, letter),
 so a non-pivot word of degree n has a non-pivot prefix.
+
+Right multiplication is stored twice: ``rmul_cols`` in field scalars, and
+``int_cols`` in plain integers over one common denominator ``den`` per
+degree (over GF(p) the two are the same tables and ``den`` is 1).  The
+relation rows of degree n are assembled from ``int_cols`` and integer
+relation rows only: each assembled row is a positive multiple of its
+field-scalar value, which the eliminator's primitive rows do not see.
 """
 
 from collections import namedtuple
+from math import lcm
 
 from .errors import ContractViolation, DimensionMismatch
 from .fields import QQ
 from .linalg import Matrix, Subspace
-from .sparsela import Eliminator, pivot_rows_to_subspace, row_axpy, subspace_rows
+from .sparsela import (Eliminator, pivot_rows_to_subspace, primitive_row,
+                       row_axpy, subspace_rows)
 from .words import (annihilator, index_word, interleave_subspace,
                     tensor_subspace)
 
@@ -29,19 +38,46 @@ class GradedComponent:
     """Degree-n piece of an algebra: monomial basis plus generator actions."""
 
     __slots__ = ("n", "dim", "normal_words", "word_pos", "rmul_cols",
-                 "lmul_cols")
+                 "int_cols", "den", "lmul_cols")
 
-    def __init__(self, n, normal_words, rmul_cols):
+    def __init__(self, n, normal_words, rmul_cols, int_cols, den):
         self.n = n
         self.normal_words = normal_words
         self.word_pos = {w: i for i, w in enumerate(normal_words)}
         self.dim = len(normal_words)
         self.rmul_cols = rmul_cols  # rmul_cols[letter][src pos] -> sparse col
+        # the same tables as ints: rmul_cols[l][s] == int_cols[l][s] / den;
+        # over GF(p) int_cols is rmul_cols and den is 1
+        self.int_cols = int_cols
+        self.den = den
         self.lmul_cols = None       # built on demand
 
 
 def _default_names(dim_e):
     return tuple("x%d" % i for i in range(dim_e))
+
+
+def _settled(vec, p):
+    """An integer row without its zeros, reduced mod p unless p is 0."""
+    if p:
+        return {j: r for j, v in vec.items() if (r := v % p)}
+    return {j: v for j, v in vec.items() if v}
+
+
+def _integer_tables(field, rmul_cols, pivot_rows):
+    """(int_cols, den): rmul_cols as ints over one common denominator.
+
+    Over QQ, den is the lcm of the denominators in the finalized pivot
+    rows, whose negated entries are those of rmul_cols.
+    """
+    if field.kind != "rational":
+        return rmul_cols, 1
+    den = lcm(*{int(v.denominator) for row in pivot_rows.values()
+                for v in row.values()})
+    int_cols = [[{pos: int(v.numerator) * (den // int(v.denominator))
+                  for pos, v in col.items()} for col in cols_l]
+                for cols_l in rmul_cols]
+    return int_cols, den
 
 
 class NHomogeneousAlgebra:
@@ -64,8 +100,9 @@ class NHomogeneousAlgebra:
         if len(self.gen_names) != dim_e:
             raise DimensionMismatch("need %d generator names" % dim_e)
         self.label = label
-        self._components = [GradedComponent(0, (0,), None)]
+        self._components = [GradedComponent(0, (0,), None, None, 1)]
         self._relation_rows = None
+        self._int_relation_rows = None
         self._dual = None
         self._products = {}
 
@@ -92,6 +129,16 @@ class NHomogeneousAlgebra:
             self._relation_rows = subspace_rows(self.relations)
         return self._relation_rows
 
+    def int_relation_rows(self):
+        """Relation rows as ints: primitive rows over QQ, as stored over GF(p)."""
+        if self._int_relation_rows is None:
+            rows = self.relation_rows()
+            if self.field.kind == "rational":
+                rows = [{j: int(v) for j, v in primitive_row(row).items()}
+                        for row in rows]
+            self._int_relation_rows = rows
+        return self._int_relation_rows
+
     def component(self, n):
         if n < 0:
             raise DimensionMismatch("negative degree")
@@ -108,42 +155,47 @@ class NHomogeneousAlgebra:
     def _build_next(self):
         n = len(self._components)
         field, g, N = self.field, self.dim_e, self.N
+        p = field.p if field.kind == "prime" else 0
         prev = self._components[n - 1]
         elim = Eliminator(field)
         if n >= N and self.relations.dim and prev.dim:
             base = self._components[n - N]
-            rel_rows = self.relation_rows()
-            one = field.one
-            mul, add = field.mul, field.add
+            rel_rows = self.int_relation_rows()
             for pu in range(base.dim):
-                # classes [u.v'] for every prefix v' of length N-1
-                cur = {0: {pu: one}}
+                # classes [u.v'] for every prefix v' of length N-1, all
+                # scaled by the product of the den of the degrees passed;
+                # they may hold zeros (mod p), and are only read, so a
+                # class c * (one basis word) can share its column
+                cur = {0: {pu: 1}}
                 for k in range(1, N):
-                    comp = self._components[n - N + k]
+                    tables = self._components[n - N + k].int_cols
                     nxt = {}
                     for pidx, vec in cur.items():
-                        for letter in range(g):
-                            cols = comp.rmul_cols[letter]
+                        head = pidx * g
+                        if len(vec) == 1:
+                            (src, c), = vec.items()
+                            for letter, cols in enumerate(tables):
+                                col = cols[src]
+                                nxt[head + letter] = col if c == 1 else {
+                                    j: c * v for j, v in col.items()}
+                            continue
+                        for letter, cols in enumerate(tables):
                             out = {}
+                            get = out.get
                             for src, c in vec.items():
-                                row_axpy(field, out, c, cols[src])
-                            nxt[pidx * g + letter] = out
+                                for j, v in cols[src].items():
+                                    out[j] = get(j, 0) + c * v
+                            nxt[head + letter] = out
                     cur = nxt
                 for rel in rel_rows:
                     row = {}
+                    get = row.get
                     for widx, c in rel.items():
                         vpre, last = divmod(widx, g)
                         for tpos, tc in cur[vpre].items():
                             col = tpos * g + last
-                            val = row.get(col)
-                            if val is None:
-                                row[col] = mul(c, tc)
-                            else:
-                                s = add(val, mul(c, tc))
-                                if s:
-                                    row[col] = s
-                                else:
-                                    del row[col]
+                            row[col] = get(col, 0) + c * tc
+                    row = _settled(row, p)
                     if row:
                         elim.add(row)
         elim.finalize()
@@ -168,7 +220,9 @@ class NHomogeneousAlgebra:
                     cols_l.append({col_pos[c]: neg(v)
                                    for c, v in prow.items() if c != col})
             rmul_cols.append(cols_l)
-        return GradedComponent(n, tuple(normal_words), rmul_cols)
+        int_cols, den = _integer_tables(field, rmul_cols, pivot_rows)
+        return GradedComponent(n, tuple(normal_words), rmul_cols, int_cols,
+                               den)
 
     def lmul(self, n):
         """Left multiplication by each generator, A_{n-1} -> A_n."""

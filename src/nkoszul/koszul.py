@@ -641,29 +641,29 @@ def _bar_matrix(algebra, blocks, i, t):
     field = algebra.field
     src = blocks[(i, t)]
     tgt = blocks[(i - 1, t)]
+    neg, add, sub = field.neg, field.add, field.sub
     cols = []
     for comp, poss in src.elements():
         col = {}
-        sign = field.one
         for j in range(i - 1):
             merged = comp[:j] + (comp[j] + comp[j + 1],) + comp[j + 2:]
             if merged in tgt.offsets:
                 prod = algebra.basis_product(comp[j], poss[j],
                                              comp[j + 1], poss[j + 1])
+                odd = j % 2     # the term of merge position j has sign (-1)^j
+                acc = sub if odd else add
                 for pos_m, c in prod.items():
                     new_poss = poss[:j] + (pos_m,) + poss[j + 2:]
                     tix = tgt.index(merged, new_poss)
-                    val = field.mul(sign, c)
                     cur = col.get(tix)
                     if cur is None:
-                        col[tix] = val
+                        col[tix] = neg(c) if odd else c
                     else:
-                        s = field.add(cur, val)
+                        s = acc(cur, c)
                         if s:
                             col[tix] = s
                         else:
                             del col[tix]
-            sign = field.neg(sign)
         cols.append(col)
     return SparseMatrix(field, tgt.dim, src.dim, cols)
 

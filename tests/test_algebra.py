@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nkoszul.algebra as algebra_module
 from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, bullet, circ,
                              component_relations, end_algebra, free_algebra,
                              full_relations_algebra, hilbert_dims, hom_algebra,
@@ -12,6 +13,7 @@ from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.linalg import Matrix, Subspace
 from nkoszul.sampling import random_algebra, random_subspace, rng_from_seed
+from nkoszul.sparsela import Eliminator, primitive_row, row_axpy
 from nkoszul.words import index_word
 
 
@@ -210,3 +212,127 @@ def test_word_class_lives_in_component(seed, n):
     for idx in range(2 ** n):
         cls = A.word_class(index_word(idx, 2, n))
         assert all(0 <= pos < comp.dim for pos in cls)
+
+
+# -- the integer row assembly against the field-scalar one ------------------
+
+def reference_tower(algebra, n_max):
+    """Slow oracle: the tower assembled in field scalars with row_axpy.
+
+    Returns, per degree n, (normal words, rmul_cols, rows fed at n).
+    """
+    field, g, N = algebra.field, algebra.dim_e, algebra.N
+    tower = [((0,), None, [])]
+    for n in range(1, n_max + 1):
+        prev_words = tower[n - 1][0]
+        elim = Eliminator(field)
+        fed = []
+        if n >= N and algebra.relations.dim and prev_words:
+            for pu in range(len(tower[n - N][0])):
+                cur = {0: {pu: field.one}}
+                for k in range(1, N):
+                    rmul = tower[n - N + k][1]
+                    nxt = {}
+                    for pidx, vec in cur.items():
+                        for letter in range(g):
+                            out = {}
+                            for src, c in vec.items():
+                                row_axpy(field, out, c, rmul[letter][src])
+                            nxt[pidx * g + letter] = out
+                    cur = nxt
+                for rel in algebra.relation_rows():
+                    row = {}
+                    for widx, c in rel.items():
+                        vpre, last = divmod(widx, g)
+                        row_axpy(field, row, c,
+                                 {tpos * g + last: tc
+                                  for tpos, tc in cur[vpre].items()})
+                    if row:
+                        fed.append(dict(row))
+                        elim.add(row)
+        elim.finalize()
+        pivot_rows = elim.pivot_rows
+        words, col_pos = [], {}
+        for col in range(len(prev_words) * g):
+            if col not in pivot_rows:
+                col_pos[col] = len(words)
+                words.append(prev_words[col // g] * g + col % g)
+        rmul = [[{col_pos[src * g + letter]: field.one}
+                 if src * g + letter not in pivot_rows else
+                 {col_pos[c]: field.neg(v)
+                  for c, v in pivot_rows[src * g + letter].items()
+                  if c != src * g + letter}
+                 for src in range(len(prev_words))] for letter in range(g)]
+        tower.append((tuple(words), rmul, fed))
+    return tower
+
+
+def tower_algebras():
+    """QQ algebras with a/b coefficients and GF(7) ones with 0 mod 7 entries."""
+    algebras = [fractional_algebra(2, 2, 2, rng_from_seed(41)),
+                fractional_algebra(2, 3, 3, rng_from_seed(42)),
+                fractional_algebra(3, 2, 4, rng_from_seed(43)),
+                fractional_algebra(2, 3, 4, rng_from_seed(44)),
+                fractional_algebra(3, 3, 9, rng_from_seed(12))]
+    rng = rng_from_seed(45)
+    for g, N, dim_r in ((2, 2, 2), (2, 3, 3), (3, 2, 4), (2, 3, 4), (3, 3, 9)):
+        algebras.append(random_algebra(g, N, rng, field=GF(7), dim_r=dim_r,
+                                       span=14))
+    return algebras
+
+
+def fed_form(field, row):
+    """A fed row up to the positive scale the eliminator ignores."""
+    return primitive_row(row) if field.kind == "rational" else row
+
+
+def test_integer_assembly_matches_field_oracle(monkeypatch):
+    fed = []
+
+    class RecordingEliminator(Eliminator):
+        def add(self, row):
+            fed[-1].append(fed_form(self.field, row))
+            return super().add(row)
+
+    def recording_build(self, build=NHomogeneousAlgebra._build_next):
+        fed.append([])
+        return build(self)
+
+    monkeypatch.setattr(algebra_module, "Eliminator", RecordingEliminator)
+    monkeypatch.setattr(NHomogeneousAlgebra, "_build_next", recording_build)
+    dens = []
+    for A in tower_algebras():
+        field = A.field
+        n_max = A.N + 3
+        oracle = reference_tower(A, n_max)
+        fed.clear()
+        A.component(n_max)
+        for n in range(1, n_max + 1):
+            words, rmul, oracle_fed = oracle[n]
+            comp = A.component(n)
+            assert comp.normal_words == words
+            assert comp.rmul_cols == rmul
+            assert fed[n - 1] == [fed_form(field, r) for r in oracle_fed]
+            assert len(comp.int_cols) == len(rmul)
+            for ints_l, cols_l in zip(comp.int_cols, rmul):
+                assert len(ints_l) == len(cols_l)
+                for ints, col in zip(ints_l, cols_l):
+                    assert ints.keys() == col.keys()
+                    for pos, v in col.items():
+                        assert type(ints[pos]) is int
+                        assert ints[pos] == field.mul(field.coerce(comp.den), v)
+            dens.append(comp.den)
+    assert max(dens) > 1
+
+
+def test_integer_tables_keep_the_denominator():
+    # x.y = 1/2 y.x and y.y = 0; the normal words of A_2 are x.x and y.x
+    rows = [[0, 2, -1, 0], [0, 0, 0, 1]]
+    A = NHomogeneousAlgebra(2, 2, Subspace.from_vectors(QQ, 4, rows))
+    comp = A.component(2)
+    assert comp.den == 2
+    assert comp.rmul_cols[1][0] == {1: QQ.coerce(1) / 2}   # x * y
+    assert comp.int_cols[1][0] == {1: 1}
+    assert comp.int_cols[0][1] == {1: 2}                   # y * x
+    assert A.component(0).int_cols is None and A.component(0).den == 1
+    assert hilbert_dims(A, 4) == [1, 2, 2, 2, 2]

@@ -5,7 +5,7 @@ import pytest
 from nkoszul.algebra import (Morphism, free_algebra, full_relations_algebra,
                              symmetric_algebra)
 from nkoszul.errors import DimensionMismatch
-from nkoszul.fields import QQ
+from nkoszul.fields import GF, QQ
 from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             KoszulElement, convolution_check, dual_component,
                             generalized_homology, koszul_K, koszul_L,
@@ -263,6 +263,32 @@ def test_tor_purity_matches_koszulity():
     pure, table = tor_purity(B2, 4, 6)
     assert not pure
     assert table[(3, 5)] == 16      # off-degree witness
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_koszul_tor_is_the_dual_and_inverts_the_hilbert_series(field):
+    # for N-Koszul A: dim Tor_2j = dim A!_jN and dim Tor_2j+1 = dim A!_jN+1;
+    # for every A: H_A(t) * sum_i (-1)^i Tor_i(t) = 1 in degrees t <= i_max
+    i_max, n_max = 4, 6
+    algebras = [symmetric_algebra(2, field=field),
+                free_algebra(2, 3, field=field),
+                full_relations_algebra(2, 3, field=field),
+                random_algebra(2, 3, rng_from_seed(2), field=field, dim_r=2)]
+    for A in algebras:
+        assert koszulity_check(A, n_max).koszul
+        table = tor_dims(A, i_max, n_max)
+        dual_dims = A.dual().hilbert_dims(n_max)
+        for i in range(i_max + 1):
+            t = tor_pure_degree(i, A.N)
+            want = dual_dims[t] if t <= n_max else 0
+            assert sum(table[(i, s)] for s in range(n_max + 1)) == want
+            if t <= n_max:
+                assert table[(i, t)] == want
+        dims = A.hilbert_dims(n_max)
+        for t in range(i_max + 1):
+            total = sum((-1) ** i * table[(i, s)] * dims[t - s]
+                        for s in range(t + 1) for i in range(i_max + 1))
+            assert total == (1 if t == 0 else 0)
 
 
 def test_tor_pure_degree():
