@@ -17,8 +17,7 @@ from .definitions import (definition_from_algebra, parse_definition,
                           serialize_definition)
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
 from .koszul import (ContractedComplex, generalized_homology, koszul_K,
-                     koszul_L, koszulity_check, tor_dims, tor_pure_degree,
-                     verdict_string)
+                     koszul_L, koszulity_check, tor_purity, verdict_string)
 from .reduction import lemma3_check, reduction_operator
 from .words import index_word
 
@@ -206,14 +205,10 @@ def _run(args):
     elif cmdname == "tor":
         report.add("nmax", nmax)
         report.add("imax", imax)
-        table = tor_dims(A, imax, nmax)
-        pure = True
+        pure, table = tor_purity(A, imax, nmax)
         for i in range(imax + 1):
-            dims = [table.get((i, t), 0) for t in range(nmax + 1)]
-            report.add("tor i=%d" % i, dims)
-            expected = tor_pure_degree(i, A.N)
-            pure = pure and all(
-                d == 0 for t, d in enumerate(dims) if t != expected)
+            report.add("tor i=%d" % i,
+                       [table[(i, t)] for t in range(nmax + 1)])
         report.add("pure", pure)
     elif cmdname == "lemma3":
         if args.r < 1:

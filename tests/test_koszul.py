@@ -1,13 +1,20 @@
 """Koszul chains, generalized homology, contracted complexes, Tor."""
 
+import gc
+import weakref
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from nkoszul.algebra import (Morphism, free_algebra, full_relations_algebra,
-                             symmetric_algebra)
+from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, free_algebra,
+                             full_relations_algebra, symmetric_algebra)
+from nkoszul.definitions import parse_definition
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
-                            KoszulElement, convolution_check, dual_component,
+                            KoszulElement, _BarBlock, _bar_matrix,
+                            convolution_check, dual_component,
                             generalized_homology, koszul_K, koszul_L,
                             koszulity_check, lemma2_check, slice_acyclic,
                             tor_dims, tor_pure_degree, tor_purity,
@@ -294,6 +301,109 @@ def test_koszul_tor_is_the_dual_and_inverts_the_hilbert_series(field):
 def test_tor_pure_degree():
     assert [tor_pure_degree(i, 3) for i in range(6)] == [0, 1, 3, 4, 6, 7]
     assert [tor_pure_degree(i, 2) for i in range(6)] == [0, 1, 2, 3, 4, 5]
+
+
+DEFINITIONS = Path(__file__).resolve().parent.parent / "demos" / "definitions"
+
+
+def load_definition(name):
+    path = DEFINITIONS / name
+    return parse_definition(path.read_text(), source=name).to_algebra()
+
+
+def bar_elements(block):
+    """(composition, position tuple) of every bar-block basis element."""
+    for comp, (off, dims) in block.offsets.items():
+        poss = [0] * len(dims)
+        while True:
+            yield comp, tuple(poss)
+            for j in range(len(dims) - 1, -1, -1):
+                poss[j] += 1
+                if poss[j] < dims[j]:
+                    break
+                poss[j] = 0
+            else:
+                break
+
+
+def bar_index(block, comp, poss):
+    off, dims = block.offsets[comp]
+    idx = 0
+    for pos, d in zip(poss, dims):
+        idx = idx * d + pos
+    return off + idx
+
+
+def reference_bar_matrix(algebra, blocks, i, t):
+    """Slow oracle for _bar_matrix: one basis element at a time, by tuples."""
+    field = algebra.field
+    src = blocks[(i, t)]
+    tgt = blocks[(i - 1, t)]
+    neg, add, sub = field.neg, field.add, field.sub
+    cols = []
+    for comp, poss in bar_elements(src):
+        col = {}
+        for j in range(i - 1):
+            merged = comp[:j] + (comp[j] + comp[j + 1],) + comp[j + 2:]
+            if merged in tgt.offsets:
+                prod = algebra.basis_product(comp[j], poss[j],
+                                             comp[j + 1], poss[j + 1])
+                odd = j % 2     # the term of merge position j has sign (-1)^j
+                acc = sub if odd else add
+                for pos_m, c in prod.items():
+                    new_poss = poss[:j] + (pos_m,) + poss[j + 2:]
+                    tix = bar_index(tgt, merged, new_poss)
+                    cur = col.get(tix)
+                    if cur is None:
+                        col[tix] = neg(c) if odd else c
+                    else:
+                        s = acc(cur, c)
+                        if s:
+                            col[tix] = s
+                        else:
+                            del col[tix]
+        cols.append(col)
+    return cols
+
+
+def drawn_algebra(field, seed, coefficient, dim_r=3):
+    """A (2, 3) algebra whose relations are dim_r drawn rows."""
+    rng = rng_from_seed(seed)
+    rows = [[coefficient(rng) for _ in range(8)] for _ in range(dim_r)]
+    return NHomogeneousAlgebra(2, 3, Subspace.from_vectors(field, 8, rows))
+
+
+def bar_oracle_algebras():
+    fractional = drawn_algebra(
+        QQ, 17, lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
+    assert any(fractional.component(n).den > 1 for n in range(1, 8))
+    # multiples of 7 among the drawn integers vanish mod 7
+    mod7 = drawn_algebra(GF(7), 19,
+                         lambda rng: rng.choice((-14, -7, 0, 7, 1, 2, 5, 9)))
+    return [load_definition("cubic.alg"), load_definition("wedge3.alg"),
+            fractional, mod7]
+
+
+def test_bar_matrix_matches_reference():
+    for A in bar_oracle_algebras():
+        blocks = {(i, t): _BarBlock(A, i, t)
+                  for i in range(6) for t in range(8)}
+        for i in range(1, 6):
+            for t in range(8):
+                got = _bar_matrix(A, blocks, i, t)
+                assert got == reference_bar_matrix(A, blocks, i, t), (A, i, t)
+
+
+def test_homology_leaves_no_reference_cycle():
+    gc.disable()
+    try:
+        A = random_algebra(2, 3, rng_from_seed(2), dim_r=2)
+        generalized_homology(koszul_K(Morphism.identity(A), 4), 1)
+        ref = weakref.ref(A)
+        del A
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_koszul_element_is_nilpotent():
