@@ -18,6 +18,9 @@ degree (over GF(p) the two are the same tables and ``den`` is 1).  The
 relation rows of degree n are assembled from ``int_cols`` and integer
 relation rows only: each assembled row is a positive multiple of its
 field-scalar value, which the eliminator's primitive rows do not see.
+Left multiplication, ``lmul``, is built from ``int_cols`` alone and kept
+only as integers, scaled by ``lden`` = den_1 * ... * den_n (1 over GF(p),
+where the integers are the field scalars); the Koszul operators read it.
 """
 
 from collections import namedtuple
@@ -38,9 +41,9 @@ class GradedComponent:
     """Degree-n piece of an algebra: monomial basis plus generator actions."""
 
     __slots__ = ("n", "dim", "normal_words", "word_pos", "rmul_cols",
-                 "int_cols", "den", "lmul_cols")
+                 "int_cols", "den", "lden", "lmul_cols")
 
-    def __init__(self, n, normal_words, rmul_cols, int_cols, den):
+    def __init__(self, n, normal_words, rmul_cols, int_cols, den, lden):
         self.n = n
         self.normal_words = normal_words
         self.word_pos = {w: i for i, w in enumerate(normal_words)}
@@ -50,11 +53,18 @@ class GradedComponent:
         # over GF(p) int_cols is rmul_cols and den is 1
         self.int_cols = int_cols
         self.den = den
+        # integer left multiplication, lden times the exact map
+        self.lden = lden
         self.lmul_cols = None       # built on demand
 
 
 def _default_names(dim_e):
     return tuple("x%d" % i for i in range(dim_e))
+
+
+def _modulus(field):
+    """p over GF(p), 0 over QQ: the argument ``_settled`` takes."""
+    return field.p if field.kind == "prime" else 0
 
 
 def _settled(vec, p):
@@ -100,7 +110,7 @@ class NHomogeneousAlgebra:
         if len(self.gen_names) != dim_e:
             raise DimensionMismatch("need %d generator names" % dim_e)
         self.label = label
-        self._components = [GradedComponent(0, (0,), None, None, 1)]
+        self._components = [GradedComponent(0, (0,), None, None, 1, 1)]
         self._relation_rows = None
         self._int_relation_rows = None
         self._dual = None
@@ -155,7 +165,7 @@ class NHomogeneousAlgebra:
     def _build_next(self):
         n = len(self._components)
         field, g, N = self.field, self.dim_e, self.N
-        p = field.p if field.kind == "prime" else 0
+        p = _modulus(field)
         prev = self._components[n - 1]
         elim = Eliminator(field)
         if n >= N and self.relations.dim and prev.dim:
@@ -222,16 +232,24 @@ class NHomogeneousAlgebra:
             rmul_cols.append(cols_l)
         int_cols, den = _integer_tables(field, rmul_cols, pivot_rows)
         return GradedComponent(n, tuple(normal_words), rmul_cols, int_cols,
-                               den)
+                               den, prev.lden * den)
 
     def lmul(self, n):
-        """Left multiplication by each generator, A_{n-1} -> A_n."""
+        """Left multiplication by each generator, A_{n-1} -> A_n, as ints.
+
+        The columns are ``component(n).lden`` times the exact maps: x_j * u
+        for u = u'.letter is (x_j * u') * letter, so each column combines
+        the integer columns of degree n-1 with ``int_cols``, and the
+        scale gains a factor den_n per degree.  Over GF(p) they are the
+        field tables (lden is 1).
+        """
         comp = self.component(n)
         if comp.lmul_cols is None:
-            field, g = self.field, self.dim_e
+            g = self.dim_e
             if n == 1:
-                comp.lmul_cols = [[{j: field.one}] for j in range(g)]
+                comp.lmul_cols = [[{j: 1}] for j in range(g)]
             else:
+                p = _modulus(self.field)
                 prev = self.component(n - 1)
                 prev2 = self.component(n - 2)
                 lm_prev = self.lmul(n - 1)
@@ -241,12 +259,14 @@ class NHomogeneousAlgebra:
                     pos_upre = prev2.word_pos.get(upre)
                     if pos_upre is None:
                         raise ContractViolation("normal words not prefix-closed")
-                    rm = comp.rmul_cols[letter]
+                    rm = comp.int_cols[letter]
                     for j in range(g):
                         vec = {}
+                        get = vec.get
                         for src, c in lm_prev[j][pos_upre].items():
-                            row_axpy(field, vec, c, rm[src])
-                        out[j][pos_u] = vec
+                            for t, v in rm[src].items():
+                                vec[t] = get(t, 0) + c * v
+                        out[j][pos_u] = _settled(vec, p)
                 comp.lmul_cols = out
         return comp.lmul_cols
 
@@ -455,8 +475,11 @@ class Morphism:
 
     @classmethod
     def identity(cls, algebra):
-        return cls(algebra, algebra,
-                   Matrix.identity(algebra.field, algebra.dim_e))
+        # the identity sends R onto R: no relation check to run
+        ident = cls.__new__(cls)
+        ident.source = ident.target = algebra
+        ident.matrix = Matrix.identity(algebra.field, algebra.dim_e)
+        return ident
 
     def tensor_power(self, k):
         return _tensor_power_matrix(self.matrix, k, self.source.field)

@@ -9,7 +9,16 @@ Every differential here -- K, L and the convolution operators d_alpha --
 is multiplication by one element, so it is a sum of Kronecker products
 sum_l X_l (x) Y_l: an action on C tensored with a first-letter split (or
 its transpose) on the dual side.  ``kron_sum_apply`` is the one routine
-that applies such a sum; its transpose is sum_l X_l^T (x) Y_l^T.
+that applies such a sum; its transpose is sum_l X_l^T (x) Y_l^T.  It
+knows no field: it multiplies and adds the scalars it is given and
+settles the sums once, mod p over GF(p).
+
+The factors of the K and L maps are integer tables: ``int_cols`` and the
+integer ``lmul`` of the algebras, and for a morphism other than the
+identity its matrix cleared of denominators.  So over QQ the map out of
+position k is applied as s_k times the exact one, for a positive integer
+scale s_k (1 over GF(p)).  Ranks and zero tests do not see the scale;
+``differential`` divides it out.
 
 The dual-side component W_m = (B^!_m)* is the annihilator of the
 degree-m relations of B^!; its natural basis is dual to the normal-word
@@ -18,8 +27,9 @@ splits, coproduct coefficients) reads off the dual algebra's engine.
 """
 
 from collections import namedtuple
+from math import lcm
 
-from .algebra import GradedElement, Morphism, circ
+from .algebra import GradedElement, Morphism, _modulus, _settled, circ
 from .errors import ContractViolation, DimensionMismatch
 from .linalg import Matrix
 from .sparsela import Eliminator, SparseMatrix, pivot_rows_to_subspace, row_axpy
@@ -32,15 +42,18 @@ PositionInfo = namedtuple("PositionInfo",
                            "c_dim", "w_dim"])
 
 
-def kron_sum_apply(field, xs, ys, y_src, y_tgt, vec):
+def kron_sum_apply(p, xs, ys, y_src, y_tgt, vec):
     """Apply sum_l X_l (x) Y_l to a sparse vector, returning a new dict.
 
     xs[l][x] and ys[l][y] are the sparse columns of X_l and Y_l.  Source
     coordinates are x * y_src + y, target coordinates x' * y_tgt + y'.
+    The scalars (ints, or Fractions over QQ) are multiplied and summed
+    as they are; the sums are reduced mod p unless p is 0, and zeros
+    dropped, once at the end.
     """
-    mul, add = field.mul, field.add
     factors = tuple(zip(xs, ys))
     out = {}
+    get = out.get
     for idx, coeff in vec.items():
         x, y = divmod(idx, y_src)
         for xcols, ycols in factors:
@@ -52,19 +65,11 @@ def kron_sum_apply(field, xs, ys, y_src, y_tgt, vec):
                 continue
             for tx, cx in xcol.items():
                 base = tx * y_tgt
-                cxo = mul(coeff, cx)
+                cxo = coeff * cx
                 for ty, cy in ycol.items():
                     tix = base + ty
-                    cur = out.get(tix)
-                    if cur is None:
-                        out[tix] = mul(cxo, cy)
-                    else:
-                        s = add(cur, mul(cxo, cy))
-                        if s:
-                            out[tix] = s
-                        else:
-                            del out[tix]
-    return out
+                    out[tix] = get(tix, 0) + cxo * cy
+    return _settled(out, p)
 
 
 def _transpose_cols(cols, tgt_dim):
@@ -97,7 +102,8 @@ class DualSide:
 
         Basis vectors of W_m are dual to normal-word classes of the dual
         algebra, so the first-letter component is the transposed
-        left-multiplication matrix of the dual algebra.
+        left-multiplication matrix of the dual algebra: integer, scaled
+        by the dual algebra's ``lden`` in degree m.
         """
         rows = self._splits.get(m)
         if rows is None:
@@ -139,6 +145,19 @@ def dual_component(algebra, m):
                                                    elim.pivot_rows))
 
 
+def _integer_matrix(field, matrix):
+    """(rows, scale): a dense field matrix as ints, scale times the matrix.
+
+    Over QQ the scale is the lcm of the entries' denominators; over GF(p)
+    the rows are the matrix's own and the scale is 1.
+    """
+    if field.kind != "rational":
+        return matrix.rows, 1
+    scale = lcm(*(int(v.denominator) for row in matrix.rows for v in row))
+    return [[int(v.numerator) * (scale // int(v.denominator)) for v in row]
+            for row in matrix.rows], scale
+
+
 def _is_identity_matrix(matrix):
     if matrix.nrows != matrix.ncols:
         return False
@@ -155,8 +174,9 @@ class _KoszulSlice:
 
     A subclass lays out ``positions`` and names the factors of the map out
     of a position: ``_forward(src, tgt)`` and ``_transposed(src, tgt)``
-    return (xs, ys, y_src, y_tgt) for ``kron_sum_apply``.  Maps leaving
-    the materialized positions are zero.
+    return ((xs, ys, y_src, y_tgt), s) -- the integer factors for
+    ``kron_sum_apply`` and the positive scale s of the map they apply,
+    the same both ways.  Maps leaving the materialized positions are zero.
     """
 
     def __init__(self, morphism):
@@ -167,11 +187,13 @@ class _KoszulSlice:
         self.N = self.source.N
         self.side = dual_side(self.source)
         self.bang = self.side.bang
+        self._p = _modulus(self.field)
         self._identity = (self.source is self.target
                           and _is_identity_matrix(morphism.matrix))
         self._twists = {}
         self._ops = {}
         self._ops_t = {}
+        self._scales = {}
         self._mats = {}
         self._ranks = {}
 
@@ -184,72 +206,100 @@ class _KoszulSlice:
         """Multiplication by f(x_letter), C_{degree-1} -> C_degree, per letter.
 
         kind is "rmul" (right multiplication, for K) or "lmul" (left, for
-        L).  Cached, since the forward and transposed maps both use it.
+        L).  Returns (cols, scale): integer columns, scale times the
+        exact map.  Cached, since the forward and transposed maps both
+        use it.
         """
         key = (kind, degree)
-        cols = self._twists.get(key)
-        if cols is None:
+        hit = self._twists.get(key)
+        if hit is None:
             target = self.target
-            base = (target.component(degree).rmul_cols if kind == "rmul"
-                    else target.lmul(degree))
-            if self._identity:
-                cols = base
+            comp = target.component(degree)
+            if kind == "rmul":
+                cols, scale = comp.int_cols, comp.den
             else:
-                field = self.field
-                fmat = self.morphism.matrix
-                src_dim = target.dim(degree - 1)
+                cols, scale = target.lmul(degree), comp.lden
+            if not self._identity:
+                fmat, fscale = _integer_matrix(self.field,
+                                               self.morphism.matrix)
+                base, p = cols, self._p
                 cols = []
                 for letter in range(self.source.dim_e):
-                    col_l = [{} for _ in range(src_dim)]
-                    for j in range(target.dim_e):
-                        c = fmat.rows[j][letter]
-                        if c:
-                            for src in range(src_dim):
-                                row_axpy(field, col_l[src], c, base[j][src])
+                    col_l = []
+                    for src in range(target.dim(degree - 1)):
+                        vec = {}
+                        get = vec.get
+                        for j in range(target.dim_e):
+                            c = fmat[j][letter]
+                            if c:
+                                for t, v in base[j][src].items():
+                                    vec[t] = get(t, 0) + c * v
+                        col_l.append(_settled(vec, p))
                     cols.append(col_l)
-            self._twists[key] = cols
-        return cols
+                scale *= fscale
+            hit = self._twists[key] = (cols, scale)
+        return hit
 
     def _op(self, cache, build, k):
         """Cache and return the factors of the map out of position k.
 
-        () stands for the zero map.
+        () stands for the zero map.  The map's scale goes to _scales.
         """
         op = ()
         if 0 <= k < len(self.positions) - 1:
             src, tgt = self.positions[k], self.positions[k + 1]
             if src.dim and tgt.dim:
-                op = build(src, tgt)
+                op, self._scales[k] = build(src, tgt)
         cache[k] = op
         return op
 
+    def scale(self, k):
+        """s_k, the positive integer the position-k map is applied times.
+
+        1 over GF(p) and for a zero map.
+        """
+        if k not in self._ops:
+            self._op(self._ops, self._forward, k)
+        return self._scales.get(k, 1)
+
     def apply_differential(self, k, vec):
-        """Apply d at position k to a sparse vector, returning a new dict."""
+        """Apply s_k * d at position k to a sparse vector, as a new dict.
+
+        s_k is ``scale(k)``.  Over QQ an integer vector maps to an
+        integer vector; ranks and zero tests are those of d itself.
+        """
         op = self._ops.get(k)
         if op is None:
             op = self._op(self._ops, self._forward, k)
         if not op or not vec:
             return {}
-        return kron_sum_apply(self.field, *op, vec)
+        return kron_sum_apply(self._p, *op, vec)
 
     def apply_transposed(self, k, vec):
-        """Apply the transpose of the position-k map to a vector on k+1."""
+        """Apply s_k times the transposed position-k map to a vector on k+1.
+
+        s_k is ``scale(k)``, the scale of ``apply_differential(k, .)``.
+        """
         op = self._ops_t.get(k)
         if op is None:
             op = self._op(self._ops_t, self._transposed, k)
         if not op or not vec:
             return {}
-        return kron_sum_apply(self.field, *op, vec)
+        return kron_sum_apply(self._p, *op, vec)
 
     def differential(self, k):
-        """The map at position k as a sparse matrix (cached)."""
+        """The exact map at position k as a sparse matrix (cached)."""
         mat = self._mats.get(k)
         if mat is None:
             src_dim = self.position_dim(k)
-            one = self.field.one
-            cols = [self.apply_differential(k, {j: one})
+            cols = [self.apply_differential(k, {j: 1})
                     for j in range(src_dim)]
-            mat = SparseMatrix(self.field, self.position_dim(k + 1), src_dim,
+            field = self.field
+            if field.kind == "rational":
+                s, ratio = self.scale(k), field.ratio
+                cols = [{i: ratio(v, s) for i, v in col.items()}
+                        for col in cols]
+            mat = SparseMatrix(field, self.position_dim(k + 1), src_dim,
                                cols)
             self._mats[k] = mat
         return mat
@@ -261,10 +311,9 @@ class _KoszulSlice:
         if r is None:
             r = 0
             if k + e < len(self.positions) and self.position_dim(k):
-                one = self.field.one
                 elim = Eliminator(self.field)
                 for j in range(self.position_dim(k)):
-                    vec = {j: one}
+                    vec = {j: 1}
                     for step in range(e):
                         vec = self.apply_differential(k + step, vec)
                         if not vec:
@@ -282,7 +331,6 @@ class _KoszulSlice:
         skipped; otherwise the composite is driven from whichever end of
         the window is smaller (forward maps or their transposes).
         """
-        one = self.field.one
         N = self.N
         for k in range(len(self.positions) - N):
             dims = [self.position_dim(k + j) for j in range(N + 1)]
@@ -290,7 +338,7 @@ class _KoszulSlice:
                 continue
             forward = dims[0] <= dims[-1]
             for j in range(dims[0] if forward else dims[-1]):
-                vec = {j: one}
+                vec = {j: 1}
                 for step in range(N):
                     if forward:
                         vec = self.apply_differential(k + step, vec)
@@ -332,13 +380,16 @@ class NComplexSlice(_KoszulSlice):
                                                c_dim, w_dim))
 
     def _forward(self, src, tgt):
-        return (self._twisted("rmul", tgt.c_degree),
-                self.side.split_rows(src.w_degree), src.w_dim, tgt.w_dim)
+        xs, s = self._twisted("rmul", tgt.c_degree)
+        m = src.w_degree
+        return ((xs, self.side.split_rows(m), src.w_dim, tgt.w_dim),
+                s * self.bang.component(m).lden)
 
     def _transposed(self, src, tgt):
-        return (_transpose_cols(self._twisted("rmul", tgt.c_degree),
-                                tgt.c_dim),
-                self.bang.lmul(src.w_degree), tgt.w_dim, src.w_dim)
+        xs, s = self._twisted("rmul", tgt.c_degree)
+        m = src.w_degree
+        return ((_transpose_cols(xs, tgt.c_dim), self.bang.lmul(m),
+                 tgt.w_dim, src.w_dim), s * self.bang.component(m).lden)
 
     def _where(self):
         return "at slice n=%d" % self.n
@@ -382,14 +433,16 @@ class LComplexSlice(_KoszulSlice):
                                                c_dim, b_dim))
 
     def _forward(self, src, tgt):
-        return (self.bang.lmul(tgt.w_degree),
-                self._twisted("lmul", tgt.c_degree), src.c_dim, tgt.c_dim)
+        ys, s = self._twisted("lmul", tgt.c_degree)
+        m = tgt.w_degree
+        return ((self.bang.lmul(m), ys, src.c_dim, tgt.c_dim),
+                self.bang.component(m).lden * s)
 
     def _transposed(self, src, tgt):
-        return (self.side.split_rows(tgt.w_degree),
-                _transpose_cols(self._twisted("lmul", tgt.c_degree),
-                                tgt.c_dim),
-                tgt.c_dim, src.c_dim)
+        ys, s = self._twisted("lmul", tgt.c_degree)
+        m = tgt.w_degree
+        return ((self.side.split_rows(m), _transpose_cols(ys, tgt.c_dim),
+                 tgt.c_dim, src.c_dim), self.bang.component(m).lden * s)
 
     def _where(self):
         return "on L chain delta=%d" % self.delta
@@ -847,6 +900,7 @@ class ConvolutionContext:
         multiplication by a on B^!.
         """
         field, one = self.field, self.field.one
+        p = _modulus(field)
         offsets = _block_offsets(self.target, self.side, t)
         cols = [dict() for _ in range(offsets[-1])]
         for m in range(t + 1):
@@ -875,7 +929,7 @@ class ConvolutionContext:
                 ys = _transpose_cols(ys, wm)
                 for j in range(cs * wm):
                     col = cols[offsets[m] + j]
-                    for i, v in kron_sum_apply(field, xs, ys, wm, wmk,
+                    for i, v in kron_sum_apply(p, xs, ys, wm, wmk,
                                                {j: one}).items():
                         col[offsets[mk] + i] = v
         return SparseMatrix(field, offsets[-1], offsets[-1], cols)

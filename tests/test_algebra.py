@@ -186,6 +186,18 @@ def test_is_morphism_and_identity():
     assert f.is_isomorphism()
 
 
+def test_identity_is_a_morphism():
+    # Morphism.identity skips the relation check; the check still holds
+    rng = rng_from_seed(47)
+    for field in (QQ, GF(7)):
+        for g, N in ((2, 2), (2, 3), (3, 2), (1, 4)):
+            A = random_algebra(g, N, rng, field=field, span=9)
+            ident = Morphism.identity(A)
+            assert ident.source is A and ident.target is A
+            assert ident.matrix == Matrix.identity(field, g)
+            assert is_morphism(A, A, ident.matrix)
+
+
 def test_morphism_rejects_bad_map():
     A = commutator_algebra()
     T = free_algebra(2, 2)
@@ -336,3 +348,47 @@ def test_integer_tables_keep_the_denominator():
     assert comp.int_cols[0][1] == {1: 2}                   # y * x
     assert A.component(0).int_cols is None and A.component(0).den == 1
     assert hilbert_dims(A, 4) == [1, 2, 2, 2, 2]
+
+
+# -- the integer left multiplication against the field-scalar one -----------
+
+def reference_lmul(algebra, n):
+    """Slow oracle: left multiplication A_{n-1} -> A_n in field scalars."""
+    field, g = algebra.field, algebra.dim_e
+    if n == 1:
+        return [[{j: field.one}] for j in range(g)]
+    prev, prev2 = algebra.component(n - 1), algebra.component(n - 2)
+    lm_prev = reference_lmul(algebra, n - 1)
+    rmul = algebra.component(n).rmul_cols
+    out = [[None] * prev.dim for _ in range(g)]
+    for pos_u, widx in enumerate(prev.normal_words):
+        upre, letter = divmod(widx, g)
+        for j in range(g):
+            vec = {}
+            for src, c in lm_prev[j][prev2.word_pos[upre]].items():
+                row_axpy(field, vec, c, rmul[letter][src])
+            out[j][pos_u] = vec
+    return out
+
+
+def test_integer_lmul_matches_field_oracle():
+    ldens = []
+    for A in tower_algebras():
+        field = A.field
+        for n in range(1, A.N + 4):
+            lden = A.component(n).lden
+            assert lden == A.component(n - 1).lden * A.component(n).den
+            oracle = reference_lmul(A, n)
+            got = A.lmul(n)
+            assert len(got) == len(oracle)
+            for got_j, oracle_j in zip(got, oracle):
+                assert len(got_j) == len(oracle_j)
+                for col, want in zip(got_j, oracle_j):
+                    assert col.keys() == want.keys()
+                    for pos, v in want.items():
+                        assert type(col[pos]) is int
+                        assert col[pos] == field.mul(field.coerce(lden), v)
+            if field.kind == "prime":
+                assert lden == 1
+            ldens.append(lden)
+    assert max(ldens) > 1

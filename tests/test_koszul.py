@@ -16,12 +16,12 @@ from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             KoszulElement, _BarBlock, _bar_matrix,
                             convolution_check, dual_component,
                             generalized_homology, koszul_K, koszul_L,
-                            koszulity_check, lemma2_check, slice_acyclic,
-                            tor_dims, tor_pure_degree, tor_purity,
-                            verdict_string)
+                            koszulity_check, kron_sum_apply, lemma2_check,
+                            slice_acyclic, tor_dims, tor_pure_degree,
+                            tor_purity, verdict_string)
 from nkoszul.linalg import Matrix, Subspace, rank, subspace_intersect
 from nkoszul.sampling import (random_algebra, random_isomorphism,
-                              rng_from_seed)
+                              rng_from_seed, transported_algebra)
 from nkoszul.words import block_embed
 
 
@@ -71,7 +71,13 @@ def _twisted_inputs():
     B = random_algebra(2, 3, rng, dim_r=3)
     f = random_isomorphism(B, rng)
     assert f.target is not f.source
-    return [Morphism.identity(commutator_algebra()), Morphism.identity(B), f]
+    # an isomorphism with fractional entries: its integer twist has scale 12
+    mat = Matrix.from_rows(QQ, [[Fraction(1, 2), Fraction(1, 3)],
+                                [Fraction(-2, 3), Fraction(3, 4)]])
+    h = Morphism(B, transported_algebra(B, mat), [list(r) for r in mat.rows])
+    assert koszul_K(h, 1)._twisted("rmul", 1)[1] == 12
+    return [Morphism.identity(commutator_algebra()), Morphism.identity(B), f,
+            h]
 
 
 def _chains(morphism, bound):
@@ -80,20 +86,74 @@ def _chains(morphism, bound):
 
 
 def test_differential_matrix_matches_transposed_apply():
+    # apply_transposed(k, e_i) holds row i of s_k times the exact matrix
     nonzero = 0
+    scales = set()
     for morphism in _twisted_inputs():
         for sl in _chains(morphism, 4):
             for k in range(len(sl.positions) - 1):
                 mat = sl.differential(k)
+                s = sl.scale(k)
                 back = {}
                 for i in range(sl.position_dim(k + 1)):
-                    col = sl.apply_transposed(k, {i: QQ.one})
+                    col = sl.apply_transposed(k, {i: 1})
                     for j, c in col.items():
+                        assert type(c) is int
                         back.setdefault(j, {})[i] = c
                 for j, col in enumerate(mat.cols):
-                    assert back.get(j, {}) == col
+                    assert all(type(v) is Fraction for v in col.values())
+                    assert back.get(j, {}) == {i: s * v
+                                               for i, v in col.items()}
                 nonzero += not mat.is_zero()
+                scales.add(s)
     assert nonzero > 20
+    assert max(scales) > 12
+
+
+def dense_kron_sum(xs, ys, x_dims, y_dims, vec):
+    """Oracle: sum_l (X_l (x) Y_l) vec, entry by entry over dense indices."""
+    (x_src, x_tgt), (y_src, y_tgt) = x_dims, y_dims
+    out = [0] * (x_tgt * y_tgt)
+    for xcols, ycols in zip(xs, ys):
+        for x in range(x_src):
+            for y in range(y_src):
+                c = vec.get(x * y_src + y, 0)
+                for tx in range(x_tgt):
+                    for ty in range(y_tgt):
+                        out[tx * y_tgt + ty] += (xcols[x].get(tx, 0) * c
+                                                 * ycols[y].get(ty, 0))
+    return out
+
+
+def random_factors(rng, draw, n_factors, src, tgt):
+    """Sparse columns of n_factors random src -> tgt maps, some empty."""
+    return [[{t: draw(rng) for t in range(tgt) if rng.random() < 0.6}
+             for _ in range(src)] for _ in range(n_factors)]
+
+
+def test_kron_sum_apply_matches_dense_oracle():
+    rng = rng_from_seed(53)
+    fractions = lambda rng: Fraction(rng.choice((-2, -1, 1, 2, 3)),
+                                     rng.randint(1, 3))
+    gf7 = lambda rng: rng.randint(1, 6)
+    vanished = 0
+    for p, draw in ((0, fractions), (7, gf7)):
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            x_dims = (rng.randint(1, 3), rng.randint(1, 4))
+            y_dims = (rng.randint(1, 3), rng.randint(1, 4))
+            xs = random_factors(rng, draw, n, *x_dims)
+            ys = random_factors(rng, draw, n, *y_dims)
+            vec = {i: draw(rng) for i in range(x_dims[0] * y_dims[0])
+                   if rng.random() < 0.7}
+            got = kron_sum_apply(p, xs, ys, y_dims[0], y_dims[1], vec)
+            want = dense_kron_sum(xs, ys, x_dims, y_dims, vec)
+            if p:
+                vanished += sum(1 for v in want if v and v % p == 0)
+                want = [v % p for v in want]
+                assert all(1 <= v < p for v in got.values())
+            assert got == {i: v for i, v in enumerate(want) if v}
+    assert vanished > 5
 
 
 def _dense(mat):
@@ -422,6 +482,8 @@ def test_convolution_coherence():
     B = random_algebra(2, 3, rng)
     f = random_isomorphism(B, rng)
     assert convolution_check(f.source, f.target, f, 5, samples=5, seed=4)
+    h = _twisted_inputs()[-1]      # fractional entries: twisted scale 12
+    assert convolution_check(h.source, h.target, h, 4, samples=3, seed=5)
 
 
 def test_convolution_composition_order():
