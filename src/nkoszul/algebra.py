@@ -12,6 +12,14 @@ Normal words are prefix-closed: the degree-n relation space contains
 rel_{n-1} (x) E, whose reduced pivots are exactly (pivot word, letter),
 so a non-pivot word of degree n has a non-pivot prefix.
 
+A degree is built in two steps.  ``_build_next`` eliminates the relation
+rows forward; the pivot columns, and so the basis, are then fixed.  The
+tables need the back-substituted rows, so they are built only when
+``component(n)`` is first asked for degree n: by the next degree's
+assembly, ``lmul``, products and the Koszul operators.  ``dim`` and
+``hilbert_dims`` read the basis alone and never back-substitute the top
+degree.
+
 Right multiplication is stored twice: ``rmul_cols`` in field scalars, and
 ``int_cols`` in plain integers over one common denominator ``den`` per
 degree (over GF(p) the two are the same tables and ``den`` is 1).  The
@@ -38,23 +46,32 @@ GradedElement = namedtuple("GradedElement", ["degree", "coords"])
 
 
 class GradedComponent:
-    """Degree-n piece of an algebra: monomial basis plus generator actions."""
+    """Degree-n piece of an algebra: monomial basis plus generator actions.
 
-    __slots__ = ("n", "dim", "normal_words", "word_pos", "rmul_cols",
+    The basis (``normal_words``, ``word_pos``, ``dim``) is known after the
+    forward elimination of the degree's relation rows.  The tables need
+    the back-substituted rows; until they are built, ``elim`` holds the
+    degree's eliminator and the tables are None.
+    ``NHomogeneousAlgebra.component`` builds them on first use and drops
+    ``elim``.
+    """
+
+    __slots__ = ("n", "dim", "normal_words", "word_pos", "elim", "rmul_cols",
                  "int_cols", "den", "lden", "lmul_cols")
 
-    def __init__(self, n, normal_words, rmul_cols, int_cols, den, lden):
+    def __init__(self, n, normal_words, elim):
         self.n = n
         self.normal_words = normal_words
         self.word_pos = {w: i for i, w in enumerate(normal_words)}
         self.dim = len(normal_words)
-        self.rmul_cols = rmul_cols  # rmul_cols[letter][src pos] -> sparse col
+        self.elim = elim            # forward-reduced, not yet finalized
+        self.rmul_cols = None       # rmul_cols[letter][src pos] -> sparse col
         # the same tables as ints: rmul_cols[l][s] == int_cols[l][s] / den;
         # over GF(p) int_cols is rmul_cols and den is 1
-        self.int_cols = int_cols
-        self.den = den
+        self.int_cols = None
+        self.den = None
         # integer left multiplication, lden times the exact map
-        self.lden = lden
+        self.lden = None
         self.lmul_cols = None       # built on demand
 
 
@@ -110,7 +127,9 @@ class NHomogeneousAlgebra:
         if len(self.gen_names) != dim_e:
             raise DimensionMismatch("need %d generator names" % dim_e)
         self.label = label
-        self._components = [GradedComponent(0, (0,), None, None, 1, 1)]
+        unit = GradedComponent(0, (0,), None)
+        unit.den = unit.lden = 1
+        self._components = [unit]
         self._relation_rows = None
         self._int_relation_rows = None
         self._dual = None
@@ -149,47 +168,63 @@ class NHomogeneousAlgebra:
             self._int_relation_rows = rows
         return self._int_relation_rows
 
-    def component(self, n):
+    def _basis(self, n):
+        """Degree n, built up to its basis; its tables may still be pending."""
         if n < 0:
             raise DimensionMismatch("negative degree")
         while len(self._components) <= n:
             self._components.append(self._build_next())
         return self._components[n]
 
+    def component(self, n):
+        """Degree n with its tables, built for every pending degree <= n."""
+        comp = self._basis(n)
+        if comp.elim is not None:
+            for k in range(1, n + 1):
+                if self._components[k].elim is not None:
+                    self._build_tables(k)
+        return comp
+
     def dim(self, n):
-        return self.component(n).dim
+        return self._basis(n).dim
 
     def hilbert_dims(self, n_max):
-        return [self.component(n).dim for n in range(n_max + 1)]
+        return [self.dim(n) for n in range(n_max + 1)]
 
     def _build_next(self):
+        """Degree n = len(tower): forward elimination and basis only.
+
+        The normal words are the non-pivot columns, which the forward
+        elimination already fixes; the eliminator is parked on the
+        component for ``_build_tables``.  Reads the tables of degrees
+        n-N+1 .. n-1.
+        """
         n = len(self._components)
-        field, g, N = self.field, self.dim_e, self.N
-        p = _modulus(field)
+        g, N = self.dim_e, self.N
         prev = self._components[n - 1]
-        elim = Eliminator(field)
+        elim = Eliminator(self.field)
         if n >= N and self.relations.dim and prev.dim:
             base = self._components[n - N]
             rel_rows = self.int_relation_rows()
+            tables = [self.component(n - N + k).int_cols for k in range(1, N)]
             for pu in range(base.dim):
                 # classes [u.v'] for every prefix v' of length N-1, all
                 # scaled by the product of the den of the degrees passed;
                 # they may hold zeros (mod p), and are only read, so a
                 # class c * (one basis word) can share its column
                 cur = {0: {pu: 1}}
-                for k in range(1, N):
-                    tables = self._components[n - N + k].int_cols
+                for cols_k in tables:
                     nxt = {}
                     for pidx, vec in cur.items():
                         head = pidx * g
                         if len(vec) == 1:
                             (src, c), = vec.items()
-                            for letter, cols in enumerate(tables):
+                            for letter, cols in enumerate(cols_k):
                                 col = cols[src]
                                 nxt[head + letter] = col if c == 1 else {
                                     j: c * v for j, v in col.items()}
                             continue
-                        for letter, cols in enumerate(tables):
+                        for letter, cols in enumerate(cols_k):
                             out = {}
                             get = out.get
                             for src, c in vec.items():
@@ -205,18 +240,31 @@ class NHomogeneousAlgebra:
                         for tpos, tc in cur[vpre].items():
                             col = tpos * g + last
                             row[col] = get(col, 0) + c * tc
-                    row = _settled(row, p)
+                    # add() reduces mod p, or to a primitive row, and
+                    # drops the zeros
                     if row:
                         elim.add(row)
-        elim.finalize()
         pivot_rows = elim.pivot_rows
         normal_words = []
+        for col in range(prev.dim * g):
+            if col not in pivot_rows:
+                src, letter = divmod(col, g)
+                normal_words.append(prev.normal_words[src] * g + letter)
+        return GradedComponent(n, tuple(normal_words), elim)
+
+    def _build_tables(self, n):
+        """Back-substitute degree n and build its tables from the RREF.
+
+        Degree n-1 must have its tables already: ``lden`` extends its own.
+        """
+        comp, prev = self._components[n], self._components[n - 1]
+        field, g = self.field, self.dim_e
+        comp.elim.finalize()
+        pivot_rows = comp.elim.pivot_rows
         col_pos = {}
         for col in range(prev.dim * g):
             if col not in pivot_rows:
-                col_pos[col] = len(normal_words)
-                src, letter = divmod(col, g)
-                normal_words.append(prev.normal_words[src] * g + letter)
+                col_pos[col] = len(col_pos)
         neg, one = field.neg, field.one
         rmul_cols = []
         for letter in range(g):
@@ -230,9 +278,10 @@ class NHomogeneousAlgebra:
                     cols_l.append({col_pos[c]: neg(v)
                                    for c, v in prow.items() if c != col})
             rmul_cols.append(cols_l)
-        int_cols, den = _integer_tables(field, rmul_cols, pivot_rows)
-        return GradedComponent(n, tuple(normal_words), rmul_cols, int_cols,
-                               den, prev.lden * den)
+        comp.rmul_cols = rmul_cols
+        comp.int_cols, comp.den = _integer_tables(field, rmul_cols, pivot_rows)
+        comp.lden = prev.lden * comp.den
+        comp.elim = None
 
     def lmul(self, n):
         """Left multiplication by each generator, A_{n-1} -> A_n, as ints.

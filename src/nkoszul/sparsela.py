@@ -11,7 +11,9 @@ p`` on field scalars.  Over QQ the eliminator works fraction-free: each
 incoming row is cleared of denominators and of its content, is reduced
 as an integer row (Bareiss-style, ``row := (p*row - c*prow) / gcd(c, p)``)
 and loses its content once more at the end of the pass.  Only
-``Eliminator.finalize`` turns the stored rows back into field scalars.
+``Eliminator.finalize`` turns the stored rows back into field scalars,
+after back-substituting in one pass per row, from the largest pivot
+down, with the same clearing step.
 """
 
 from heapq import heapify, heappop, heappush
@@ -120,7 +122,8 @@ class Eliminator:
     """Incremental Gaussian elimination with ascending column pivots.
 
     Feed rows with add(); finalize() back-substitutes so the stored rows
-    become the unique RREF of everything fed in.
+    become the unique RREF of everything fed in.  Callers that need only
+    the rank or the pivot columns need not finalize.
 
     add() reduces a row in one ascending pass: a heap holds the row's
     columns that are stored pivots, and the smallest one is cleared next.
@@ -195,19 +198,26 @@ class Eliminator:
         return sorted(self.pivot_rows)
 
     def finalize(self):
-        """Back-substitute to full RREF (idempotent)."""
+        """Back-substitute to full RREF (idempotent).
+
+        One pass per stored row, in descending pivot order.  Every row
+        below the current one (larger pivot) is already reduced, so it is
+        zero at every other pivot column: clearing a pivot hit of the
+        current row creates no new one, and each hit is cleared once.
+        Over QQ the row loses its content once, after its last hit.
+        """
         if self._finalized:
             return
         pivot_rows = self.pivot_rows
         clear = self._clear
         for piv in sorted(pivot_rows, reverse=True):
-            src = pivot_rows[piv]
-            for other_piv, row in pivot_rows.items():
-                if other_piv < piv and piv in row:
-                    # only column piv is cleared here: no pivots to queue
-                    clear(row, piv, src, (), None)
-                    if self._integer_rows:
-                        remove_content(row)
+            row = pivot_rows[piv]
+            hits = [j for j in row if j != piv and j in pivot_rows]
+            for j in hits:
+                # a reduced stored row brings no pivots to queue
+                clear(row, j, pivot_rows[j], (), None)
+            if hits and self._integer_rows:
+                remove_content(row)
         if self._integer_rows:
             ratio, one = self.field.ratio, self.field.one
             for piv, row in pivot_rows.items():

@@ -294,8 +294,14 @@ def tower_algebras():
 
 
 def fed_form(field, row):
-    """A fed row up to the positive scale the eliminator ignores."""
-    return primitive_row(row) if field.kind == "rational" else row
+    """A fed row as the eliminator stores it, up to a positive scale.
+
+    The tower feeds raw integer rows: over GF(p) they are reduced here,
+    and a row may vanish mod p (or cancel over QQ) to the empty row.
+    """
+    if field.kind == "rational":
+        return primitive_row(row)
+    return {j: r for j, v in row.items() if (r := v % field.p)}
 
 
 def test_integer_assembly_matches_field_oracle(monkeypatch):
@@ -312,7 +318,7 @@ def test_integer_assembly_matches_field_oracle(monkeypatch):
 
     monkeypatch.setattr(algebra_module, "Eliminator", RecordingEliminator)
     monkeypatch.setattr(NHomogeneousAlgebra, "_build_next", recording_build)
-    dens = []
+    dens, vanished = [], 0
     for A in tower_algebras():
         field = A.field
         n_max = A.N + 3
@@ -324,7 +330,9 @@ def test_integer_assembly_matches_field_oracle(monkeypatch):
             comp = A.component(n)
             assert comp.normal_words == words
             assert comp.rmul_cols == rmul
-            assert fed[n - 1] == [fed_form(field, r) for r in oracle_fed]
+            assert ([r for r in fed[n - 1] if r]
+                    == [fed_form(field, r) for r in oracle_fed])
+            vanished += fed[n - 1].count({})
             assert len(comp.int_cols) == len(rmul)
             for ints_l, cols_l in zip(comp.int_cols, rmul):
                 assert len(ints_l) == len(cols_l)
@@ -335,6 +343,54 @@ def test_integer_assembly_matches_field_oracle(monkeypatch):
                         assert ints[pos] == field.mul(field.coerce(comp.den), v)
             dens.append(comp.den)
     assert max(dens) > 1
+    assert vanished > 0
+
+
+@pytest.mark.parametrize("kind", ["rational", "prime"], ids=["QQ", "GF(7)"])
+def test_hilbert_dims_leave_the_top_degree_unfinalized(monkeypatch, kind):
+    made, finalized = [], []
+
+    class CountingEliminator(Eliminator):
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+        def finalize(self):
+            finalized.append(self)
+            super().finalize()
+
+    monkeypatch.setattr(algebra_module, "Eliminator", CountingEliminator)
+    tables_read = 0
+    for A in tower_algebras():
+        if A.field.kind != kind:
+            continue
+        n = A.N + 3
+        oracle = reference_tower(A, n)
+        made.clear()
+        finalized.clear()
+        dims = hilbert_dims(A, n)
+        assert dims == [len(words) for words, _, _ in oracle]
+        # one eliminator per degree 1..n; the top one is never finalized,
+        # the lower ones are up to the last degree whose tables were read
+        # (none past a zero degree)
+        assert len(made) == n
+        assert made[-1] not in finalized
+        assert finalized == made[:len(finalized)]
+        tables_read += len(finalized)
+        comp = A.component(n)
+        assert made[-1] in finalized
+        assert comp.normal_words == oracle[n][0]
+        assert comp.rmul_cols == oracle[n][1]
+        # the same tables as an algebra built one finished degree at a time
+        B = NHomogeneousAlgebra(A.dim_e, A.N, A.relations)
+        for k in range(n + 1):
+            want, got = B.component(k), A.component(k)
+            assert got.normal_words == want.normal_words
+            assert got.rmul_cols == want.rmul_cols
+            assert got.int_cols == want.int_cols
+            assert (got.den, got.lden) == (want.den, want.lden)
+            assert got.elim is None
+    assert tables_read > 0
 
 
 def test_integer_tables_keep_the_denominator():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st, target
 
 from nkoszul.errors import ContractViolation
 from nkoszul.fields import GF, QQ
@@ -176,6 +176,86 @@ def test_prime_field_matches_dense_oracle(case):
     assert elim.pivots() == pivots
     elim.finalize()
     assert [dense(GF7, ncols, elim.pivot_rows[p]) for p in pivots] == red
+
+
+def column_by_column_rref(elim):
+    """The RREF of a forward-reduced Eliminator, by the slow column loop.
+
+    For each pivot column, from the largest down, every stored row that
+    holds it is cleared of it, rescanning all rows; the clearing runs in
+    field scalars, and each row is then scaled to pivot entry one.  It
+    works on a copy and leaves elim as it was.
+    """
+    field = elim.field
+    rows = {piv: {j: field.coerce(v) for j, v in row.items()}
+            for piv, row in elim.pivot_rows.items()}
+    for piv in sorted(rows, reverse=True):
+        src = rows[piv]
+        for other, row in rows.items():
+            if other < piv and piv in row:
+                c = field.div(row[piv], src[piv])
+                for k, v in src.items():
+                    s = field.sub(row.get(k, field.zero), field.mul(c, v))
+                    if s:
+                        row[k] = s
+                    else:
+                        row.pop(k, None)
+    return {piv: {j: field.div(v, row[piv]) for j, v in row.items()}
+            for piv, row in rows.items()}
+
+
+def pivot_hits(elim):
+    """Most other pivot columns a stored row holds before finalize()."""
+    rows = elim.pivot_rows
+    return max((sum(1 for j in row if j != piv and j in rows)
+                for piv, row in rows.items()), default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(qq_rows(), qq_rows(SPARSE_SCALARS)),
+       st.sampled_from([QQ, GF7]))
+def test_one_pass_finalize_matches_column_by_column(case, field):
+    ncols, rows = case
+    if field is GF7:
+        rows = mod7(rows)
+    elim = fed(field, rows)
+    hits = pivot_hits(elim)
+    target(hits)
+    event("three or more pivot hits" if hits >= 3 else "fewer pivot hits")
+    want = column_by_column_rref(elim)
+    elim.finalize()
+    assert elim.pivot_rows == want
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF(7)"])
+def test_one_pass_finalize_frozen_case(field):
+    rows = [{0: 2, 1: 3, 2: -1, 3: 4, 5: 1},
+            {1: 1, 2: Fraction(1, 2), 3: -2, 4: 3},
+            {2: 3, 3: 1, 4: -1, 5: 2},
+            {3: Fraction(2, 3), 4: 1, 5: 5}]
+    elim = Eliminator(field)
+    for row in rows:
+        elim.add({j: field.coerce(v) for j, v in row.items()})
+    assert elim.pivots() == [0, 1, 2, 3]
+    assert pivot_hits(elim) == 3         # row 0 holds pivots 1, 2 and 3
+    want = column_by_column_rref(elim)
+    elim.finalize()
+    assert elim.pivot_rows == want
+    c = field.coerce
+    if field is QQ:
+        assert elim.pivot_rows == {
+            0: {0: c(1), 4: c("-313/24"), 5: c("-943/24")},
+            1: {1: c(1), 4: c("77/12"), 5: c("191/12")},
+            2: {2: c(1), 4: c("-5/6"), 5: c("-11/6")},
+            3: {3: c(1), 4: c("3/2"), 5: c("15/2")}}
+    else:
+        assert elim.pivot_rows == {0: {0: 1, 4: 3, 5: 3}, 1: {1: 1, 5: 6},
+                                   2: {2: 1, 4: 5, 5: 4},
+                                   3: {3: 1, 4: 5, 5: 4}}
+    dense_rows = [dense(field, 6, {j: c(v) for j, v in row.items()})
+                  for row in rows]
+    pivots, red = oracle(field, 6, dense_rows)
+    assert [dense(field, 6, elim.pivot_rows[p]) for p in pivots] == red
 
 
 @settings(max_examples=100, deadline=None)
