@@ -675,7 +675,7 @@ class _BarBlock:
         self.dim = off
 
 
-def _bar_matrix(algebra, blocks, i, t):
+def _bar_matrix(algebra, blocks, i, t, skip):
     """Columns of the differential (A_+)^(x)i -> (A_+)^(x)(i-1) in degree t.
 
     The term of merge position j multiplies parts j and j+1, with sign
@@ -685,6 +685,10 @@ def _bar_matrix(algebra, blocks, i, t):
     of the merged composition, one per term c * pos_m of the product of
     basis classes a and b.  Distinct j give distinct merged compositions
     and distinct pos_m distinct rows, so every entry is written once.
+
+    The columns whose indices are in ``skip`` are left empty: nothing is
+    written into them.  ``tor_dims`` passes the columns that the level
+    above proves dependent.
     """
     neg, product = algebra.field.neg, algebra.basis_product
     src, tgt = blocks[(i, t)], blocks[(i - 1, t)]
@@ -711,6 +715,8 @@ def _bar_matrix(algebra, blocks, i, t):
                             s0 = off + ((q * da + a) * db + b) * suf
                             t0 = toff + q * dm * suf
                             for r in range(suf):
+                                if s0 + r in skip:
+                                    continue
                                 col = cols[s0 + r]
                                 for shift, c in terms:
                                     col[t0 + shift + r] = c
@@ -722,6 +728,25 @@ def tor_dims(algebra, i_max, n_max):
     """dim Tor_i(K, K) in each total degree, from the normalized bar complex.
 
     Returns {(i, t): dim} for 0 <= i <= i_max, 0 <= t <= n_max.
+
+    Each degree t is ranked from the top level i_max + 1 down to 1, with
+    clearing (Chen-Kerber 2011): the pivot columns of level i + 1 are
+    neither built into d_i nor fed.  That is exact over every field and
+    in any feed order.  A row v stored by the eliminator of d_{i+1} lies
+    in im d_{i+1}, and its pivot j is its smallest index.  Since
+    d_i(v) = 0, column j of d_i is a combination of columns with larger
+    index, so by descending induction on j the columns kept span what
+    all the columns span.
+
+    The feed order decides what the skip saves.  The columns follow
+    _compositions' ascending layout and are fed last column first: that
+    gives less fill-in (on the tor-bar benchmark inputs, before clearing,
+    about a quarter fewer stored entries and about 45 % less elimination
+    time than ascending order), and column j comes after every larger
+    column, so it would reduce to zero.  Skipping it removes only that
+    wasted reduction: the eliminator stores the same rows as without
+    clearing.  Fed in ascending order, column j would come first and be
+    stored, and skipping it would change the rows the others meet.
     """
     field = algebra.field
     blocks = {}
@@ -729,20 +754,20 @@ def tor_dims(algebra, i_max, n_max):
         for t in range(n_max + 1):
             blocks[(i, t)] = _BarBlock(algebra, i, t)
     ranks = {}
-    for i in range(1, i_max + 2):
-        for t in range(n_max + 1):
+    for t in range(n_max + 1):
+        cleared = set()
+        for i in range(i_max + 1, 0, -1):
             if blocks[(i, t)].dim == 0 or blocks[(i - 1, t)].dim == 0:
-                ranks[(i, t)] = 0
+                ranks[(i, t)], cleared = 0, set()
                 continue
-            # The columns follow _compositions' ascending layout.  Fed
-            # last column first, they give the same rank with less fill-in:
-            # on the tor-bar benchmark inputs about a quarter fewer stored
-            # entries and about 45 % less elimination time.
+            # rebinding elim frees the rows of level i + 1 before d_i is
+            # built: only their pivot set is needed
             elim = Eliminator(field)
-            for col in reversed(_bar_matrix(algebra, blocks, i, t)):
+            for col in reversed(_bar_matrix(algebra, blocks, i, t, cleared)):
                 if col:
                     elim.add(col)
             ranks[(i, t)] = elim.rank
+            cleared = set(elim.pivot_rows)
     table = {}
     for i in range(i_max + 1):
         for t in range(n_max + 1):

@@ -22,6 +22,7 @@ from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
 from nkoszul.linalg import Matrix, Subspace, rank, subspace_intersect
 from nkoszul.sampling import (random_algebra, random_isomorphism,
                               rng_from_seed, transported_algebra)
+from nkoszul.sparsela import Eliminator
 from nkoszul.words import block_embed
 
 
@@ -450,8 +451,98 @@ def test_bar_matrix_matches_reference():
                   for i in range(6) for t in range(8)}
         for i in range(1, 6):
             for t in range(8):
-                got = _bar_matrix(A, blocks, i, t)
-                assert got == reference_bar_matrix(A, blocks, i, t), (A, i, t)
+                want = reference_bar_matrix(A, blocks, i, t)
+                assert _bar_matrix(A, blocks, i, t, set()) == want, (A, i, t)
+                skip = set(range(t % 3, len(want), 3))
+                got = _bar_matrix(A, blocks, i, t, skip)
+                assert got == [{} if j in skip else col
+                               for j, col in enumerate(want)], (A, i, t)
+
+
+def bar_blocks(algebra, i_max, n_max):
+    return {(i, t): _BarBlock(algebra, i, t)
+            for i in range(i_max + 2) for t in range(n_max + 1)}
+
+
+def full_bar_eliminator(algebra, blocks, i, t):
+    """Every column of the level-i bar matrix fed, last column first."""
+    elim = Eliminator(algebra.field)
+    for col in reversed(reference_bar_matrix(algebra, blocks, i, t)):
+        if col:
+            elim.add(col)
+    return elim
+
+
+def reference_tor_dims(algebra, i_max, n_max):
+    """Oracle for tor_dims: no clearing, every column of every bar matrix.
+
+    Returns (table, eliminators), eliminators[(i, t)] holding the rows of
+    the level-i matrix in degree t.
+    """
+    blocks = bar_blocks(algebra, i_max, n_max)
+    elims = {(i, t): full_bar_eliminator(algebra, blocks, i, t)
+             for i in range(1, i_max + 2) for t in range(n_max + 1)}
+    ranks = {key: elim.rank for key, elim in elims.items()}
+    table = {(i, t): (blocks[(i, t)].dim - ranks.get((i, t), 0)
+                      - ranks[(i + 1, t)])
+             for i in range(i_max + 1) for t in range(n_max + 1)}
+    return table, elims
+
+
+def stored_rows(elim):
+    return tuple(sorted((piv, tuple(sorted(row.items())))
+                        for piv, row in elim.pivot_rows.items()))
+
+
+def tor_sweep_algebras():
+    """bar_oracle_algebras plus seeded random draws over QQ and GF(7)."""
+    algebras = [(A, 5, 7) for A in bar_oracle_algebras()]
+    rng = rng_from_seed(23)
+    for field in (QQ, GF(7)):
+        for g, N, n_max in ((2, 2, 6), (2, 3, 7), (2, 4, 6), (3, 2, 4),
+                            (3, 3, 4)):
+            dim_r = rng.randint(1, g ** N - 1)
+            algebras.append((random_algebra(g, N, rng, field=field,
+                                            dim_r=dim_r), 4, n_max))
+    return algebras
+
+
+def test_tor_dims_matches_reference_without_clearing(monkeypatch):
+    # Clearing must skip only columns that reduce to zero, so the rows
+    # the eliminators of tor_dims store are those of the full feed.
+    made = []
+
+    class RecordingEliminator(Eliminator):
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+    monkeypatch.setattr("nkoszul.koszul.Eliminator", RecordingEliminator)
+    for A, i_max, n_max in tor_sweep_algebras():
+        want, elims = reference_tor_dims(A, i_max, n_max)
+        made.clear()
+        assert tor_dims(A, i_max, n_max) == want, (A, i_max, n_max)
+        got_rows = sorted(stored_rows(e) for e in made if e.rank)
+        want_rows = sorted(stored_rows(e) for e in elims.values() if e.rank)
+        assert got_rows == want_rows, (A, i_max, n_max)
+
+
+def test_pivots_of_the_level_above_reduce_to_zero():
+    # the clearing argument: a pivot j of a stored row of d_{i+1} marks a
+    # column of d_i that its larger-index columns already span
+    cleared = 0
+    for A in bar_oracle_algebras():
+        blocks = bar_blocks(A, 5, 7)
+        for t in range(8):
+            for i in range(1, 6):
+                above = full_bar_eliminator(A, blocks, i + 1, t).pivot_rows
+                cleared += len(above)
+                elim = Eliminator(A.field)
+                cols = reference_bar_matrix(A, blocks, i, t)
+                for j in range(len(cols) - 1, -1, -1):
+                    piv = elim.add(cols[j])
+                    assert j not in above or piv is None, (A, i, t, j)
+    assert cleared > 1000
 
 
 def test_homology_leaves_no_reference_cycle():
