@@ -36,9 +36,9 @@ from math import lcm
 
 from .errors import ContractViolation, DimensionMismatch
 from .fields import QQ
-from .linalg import Matrix, Subspace
-from .sparsela import (Eliminator, pivot_rows_to_subspace, primitive_row,
-                       row_axpy, subspace_rows)
+from .linalg import (Matrix, Subspace, pivot_rows_to_subspace, rank,
+                     subspace_rows)
+from .sparsela import Eliminator, primitive_row, row_axpy
 from .words import (annihilator, index_word, interleave_subspace,
                     tensor_subspace)
 
@@ -540,7 +540,6 @@ class Morphism:
                                      self.target.dim_e ** self.source.N, rows)
 
     def is_isomorphism(self):
-        from .linalg import rank
         if self.source.dim_e != self.target.dim_e:
             return False
         if rank(self.matrix) != self.source.dim_e:

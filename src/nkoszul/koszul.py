@@ -31,8 +31,8 @@ from math import lcm
 
 from .algebra import GradedElement, Morphism, _modulus, _settled, circ
 from .errors import ContractViolation, DimensionMismatch
-from .linalg import Matrix
-from .sparsela import Eliminator, SparseMatrix, pivot_rows_to_subspace, row_axpy
+from .linalg import Matrix, pivot_rows_to_subspace
+from .sparsela import Eliminator, SparseMatrix, row_axpy
 from .words import index_word
 
 DualComponent = namedtuple("DualComponent", ["m", "space"])

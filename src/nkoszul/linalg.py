@@ -3,10 +3,13 @@
 Everything is canonical-form based: a subspace is stored as the reduced
 row echelon form of any spanning set (zero rows dropped, pivots on the
 leftmost possible columns), so two subspaces are equal iff their stored
-matrices are equal entry for entry.
+matrices are equal entry for entry.  The canonical forms come from
+``sparsela.Eliminator``, the package's one elimination kernel:
+``rref`` feeds it a matrix's rows and reads back its finalized rows.
 """
 
 from .errors import ContractViolation, DimensionMismatch
+from .sparsela import Eliminator
 
 
 class Matrix:
@@ -23,13 +26,13 @@ class Matrix:
     @classmethod
     def from_rows(cls, field, rows, ncols=None):
         rows = [[field.coerce(x) for x in row] for row in rows]
-        if rows:
+        if ncols is None:
+            if not rows:
+                raise DimensionMismatch("empty matrix needs an explicit width")
             ncols = len(rows[0])
-            for row in rows:
-                if len(row) != ncols:
-                    raise DimensionMismatch("ragged rows")
-        elif ncols is None:
-            raise DimensionMismatch("empty matrix needs an explicit width")
+        for row in rows:
+            if len(row) != ncols:
+                raise DimensionMismatch("row width != ncols")
         return cls(field, len(rows), ncols, rows)
 
     @classmethod
@@ -132,52 +135,12 @@ def rref(matrix):
     zeros above and below, pivots strictly increasing.  The result is the
     canonical representative of the row space.
     """
-    if matrix.ncols >= 200 and matrix.nrows >= 8:
-        # wide word-indexed matrices are mostly zero; reduce sparsely
-        from .sparsela import Eliminator
-        elim = Eliminator(matrix.field)
-        for row in matrix.rows:
-            elim.add({j: v for j, v in enumerate(row) if v})
-        elim.finalize()
-        zero = matrix.field.zero
-        pivots = tuple(sorted(elim.pivot_rows))
-        rows = []
-        for piv in pivots:
-            dense = [zero] * matrix.ncols
-            for j, v in elim.pivot_rows[piv].items():
-                dense[j] = v
-            rows.append(dense)
-        return Matrix(matrix.field, len(rows), matrix.ncols, rows), pivots
-    f = matrix.field
-    rows = [row[:] for row in matrix.rows]
-    pivots = []
-    prow = 0
-    for col in range(matrix.ncols):
-        sel = None
-        for i in range(prow, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        inv = f.inv(rows[prow][col])
-        if inv != f.one:
-            rows[prow] = [f.mul(inv, x) for x in rows[prow]]
-        for i in range(len(rows)):
-            if i != prow and rows[i][col]:
-                c = rows[i][col]
-                src = rows[prow]
-                dst = rows[i]
-                for j in range(col, matrix.ncols):
-                    if src[j]:
-                        dst[j] = f.sub(dst[j], f.mul(c, src[j]))
-        pivots.append(col)
-        prow += 1
-        if prow == len(rows):
-            break
-    rows = rows[:prow]
-    return Matrix(f, prow, matrix.ncols, rows), tuple(pivots)
+    elim = Eliminator(matrix.field)
+    for row in matrix.rows:
+        elim.add({j: v for j, v in enumerate(row) if v})
+    elim.finalize()
+    sub = pivot_rows_to_subspace(matrix.field, matrix.ncols, elim.pivot_rows)
+    return sub.basis, sub.pivots
 
 
 def rank(matrix):
@@ -246,10 +209,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
-        mat = Matrix.from_rows(field, vectors, ncols=ambient_dim)
-        if mat.ncols != ambient_dim:
-            raise DimensionMismatch("vector length != ambient dimension")
-        red, piv = rref(mat)
+        red, piv = rref(Matrix.from_rows(field, vectors, ncols=ambient_dim))
         return cls(field, ambient_dim, red, piv)
 
     @classmethod
@@ -309,6 +269,26 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim %d of %d over %r)" % (
             self.dim, self.ambient_dim, self.field)
+
+
+def subspace_rows(subspace):
+    """Canonical basis of a dense Subspace as a list of sparse dict rows."""
+    return [{j: v for j, v in enumerate(row) if v}
+            for row in subspace.basis.rows]
+
+
+def pivot_rows_to_subspace(field, ambient, pivot_rows):
+    """Finalized RREF rows (dict {pivot: row}) as a canonical dense Subspace."""
+    pivots = sorted(pivot_rows)
+    zero = field.zero
+    rows = []
+    for piv in pivots:
+        dense = [zero] * ambient
+        for j, v in pivot_rows[piv].items():
+            dense[j] = v
+        rows.append(dense)
+    mat = Matrix(field, len(rows), ambient, rows)
+    return Subspace(field, ambient, mat, tuple(pivots))
 
 
 def kernel(f):

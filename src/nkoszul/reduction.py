@@ -11,7 +11,8 @@ rewrites must decrease words.
 from collections import namedtuple
 
 from .errors import ContractViolation, DimensionMismatch
-from .linalg import LinearMap, Matrix, Subspace, kernel, rref
+from .linalg import LinearMap, Matrix, Subspace, kernel
+from .sparsela import Eliminator
 from .words import block_embed, index_word, word_index
 
 
@@ -38,30 +39,37 @@ class ReductionOperator:
 
 
 def _descending_rref(relations):
-    """RREF with pivots at the greatest word of each relation."""
-    field = relations.field
-    amb = relations.ambient_dim
-    flipped = [list(reversed(list(row))) for row in relations.basis.rows]
-    reduced, pivots = rref(Matrix.from_rows(field, flipped, ncols=amb))
-    rows = [list(reversed(list(row))) for row in reduced.rows]
-    leads = [amb - 1 - p for p in pivots]
-    return rows, leads
+    """RREF with pivots at the greatest word of each relation.
+
+    Returns {leading word: relation row as a dict}, each row 1 at its own
+    leading word and 0 at every other leading word.  Word w is fed to the
+    eliminator as column last - w, so its ascending pivots are the
+    greatest words.
+    """
+    last = relations.ambient_dim - 1
+    elim = Eliminator(relations.field)
+    for row in relations.basis.rows:
+        elim.add({last - w: c for w, c in enumerate(row) if c})
+    elim.finalize()
+    return {last - p: {last - j: c for j, c in row.items()}
+            for p, row in elim.pivot_rows.items()}
 
 
 def reduction_operator(relations, word_length):
     """Build S from R, then verify idempotence, descent and Ker S = R."""
     field = relations.field
     amb = relations.ambient_dim
-    rows, leads = _descending_rref(relations)
+    reduced = _descending_rref(relations)
     mat = Matrix.identity(field, amb)
-    for row, lead in zip(rows, leads):
-        for w, c in enumerate(row):
-            mat.rows[w][lead] = field.neg(c) if w != lead else field.zero
+    for lead, row in reduced.items():
+        # S sends the leading word to minus the rest of its relation
+        for w, c in row.items():
+            mat.rows[w][lead] = field.neg(c)
+        mat.rows[lead][lead] = field.zero
     op = LinearMap(mat)
-    lead_set = set(leads)
     for a in range(amb):
         col = [mat.rows[i][a] for i in range(amb)]
-        if a in lead_set:
+        if a in reduced:
             if any(col[w] for w in range(a, amb)):
                 raise ContractViolation("rewrite of word %d does not descend" % a)
         else:
@@ -71,7 +79,7 @@ def reduction_operator(relations, word_length):
         raise ContractViolation("operator is not idempotent")
     if kernel(op) != relations:
         raise ContractViolation("kernel differs from the relation space")
-    return ReductionOperator(word_length, op, sorted(lead_set), relations)
+    return ReductionOperator(word_length, op, sorted(reduced), relations)
 
 
 Lemma3Result = namedtuple("Lemma3Result", ["equal", "conclusion"])

@@ -1,8 +1,10 @@
-"""Sparse exact row reduction for wide, word-indexed coordinate spaces.
+"""Sparse exact row reduction: the package's one elimination kernel.
 
-Rows are dicts {column index: nonzero scalar}.  The public dense module
-is the reference implementation; this one exists because graded pieces
-of tensor algebras are huge and mostly empty.
+Rows are dicts {column index: nonzero scalar}, because graded pieces of
+tensor algebras are huge and mostly empty.  ``Eliminator`` is the only
+elimination loop: the graded tower, the complex ranks and Tor feed it
+sparse rows, and ``linalg`` reads every canonical form (``rref`` and the
+subspaces built on it) from its finalized rows.
 
 ``Eliminator`` reduces each incoming row in a single ascending pass over
 the stored pivot columns it meets, fill-in included, with one clearing
@@ -226,27 +228,6 @@ class Eliminator:
                     row[j] = ratio(row[j], p)
                 row[piv] = one
         self._finalized = True
-
-
-def subspace_rows(subspace):
-    """Canonical basis of a dense Subspace as a list of sparse dict rows."""
-    return [{j: v for j, v in enumerate(row) if v}
-            for row in subspace.basis.rows]
-
-
-def pivot_rows_to_subspace(field, ambient, pivot_rows):
-    """Finalized RREF rows (dict {pivot: row}) as a canonical dense Subspace."""
-    from .linalg import Matrix, Subspace
-    pivots = sorted(pivot_rows)
-    zero = field.zero
-    rows = []
-    for piv in pivots:
-        dense = [zero] * ambient
-        for j, v in pivot_rows[piv].items():
-            dense[j] = v
-        rows.append(dense)
-    mat = Matrix(field, len(rows), ambient, rows)
-    return Subspace(field, ambient, mat, tuple(pivots))
 
 
 class SparseMatrix:

@@ -7,7 +7,7 @@ significant), so lexicographic word order matches index order.
 """
 
 from .errors import DimensionMismatch
-from .linalg import LinearMap, Matrix, Subspace, kernel, rref
+from .linalg import LinearMap, Matrix, Subspace, kernel
 
 
 def word_index(word, alphabet_size):

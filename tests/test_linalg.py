@@ -73,6 +73,17 @@ def test_dimension_validation():
         a.mul(b)
 
 
+def test_explicit_width_must_match_the_rows():
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows(QQ, [[1, 2]], ncols=3)
+    with pytest.raises(DimensionMismatch):
+        LinearMap.from_rows(QQ, [[1, 2]], domain_dim=3)
+    with pytest.raises(DimensionMismatch):
+        Subspace.from_vectors(QQ, 3, [[1, 2]])
+    assert Matrix.from_rows(QQ, [[1, 2]], ncols=2).ncols == 2
+    assert LinearMap.from_rows(QQ, [], domain_dim=3).domain_dim == 3
+
+
 def test_homology_dim_toy_complex():
     # Q -(d_in)-> Q^2 -(sum)-> Q; middle homology depends on d_in
     d_out = LinearMap.from_rows(QQ, [[1, 1]])

@@ -1,14 +1,18 @@
-"""Sparse elimination against the dense Gauss-Jordan oracle."""
+"""Sparse elimination, and linalg.rref built on it, against a dense
+Gauss-Jordan oracle."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import event, given, settings, strategies as st, target
+from hypothesis import (event, example, given, settings, strategies as st,
+                        target)
 
 from nkoszul.errors import ContractViolation
 from nkoszul.fields import GF, QQ
 from nkoszul.linalg import Matrix, rref
+from nkoszul.reduction import _descending_rref
+from nkoszul.sampling import random_subspace, rng_from_seed
 from nkoszul.sparsela import Eliminator, SparseMatrix
 
 SCALARS = st.one_of(
@@ -47,11 +51,40 @@ def dense(field, ncols, row):
     return out
 
 
-def oracle(field, ncols, rows):
-    """The dense Gauss-Jordan branch of linalg.rref (narrow matrices)."""
-    assert ncols < 200
-    red, pivots = rref(Matrix(field, len(rows), ncols, rows))
-    return list(pivots), red.rows
+def gauss_jordan_rref(field, rows, ncols):
+    """Dense Gauss-Jordan RREF: (pivot columns, nonzero reduced rows).
+
+    The slow oracle for Eliminator and for linalg.rref, which reads its
+    canonical form from an Eliminator.  Works on a copy of rows.
+    """
+    rows = [row[:] for row in rows]
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(prow, len(rows)):
+            if rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        inv = field.inv(rows[prow][col])
+        if inv != field.one:
+            rows[prow] = [field.mul(inv, x) for x in rows[prow]]
+        for i in range(len(rows)):
+            if i != prow and rows[i][col]:
+                c = rows[i][col]
+                src = rows[prow]
+                dst = rows[i]
+                for j in range(col, ncols):
+                    if src[j]:
+                        dst[j] = field.sub(dst[j], field.mul(c, src[j]))
+        pivots.append(col)
+        prow += 1
+        if prow == len(rows):
+            break
+    return pivots, rows[:prow]
 
 
 def mod7(rows):
@@ -111,18 +144,73 @@ def multipass_pivot_rows(field, rows):
 @given(qq_rows())
 def test_rref_matches_dense_oracle(case):
     ncols, rows = case
-    pivots, red = oracle(QQ, ncols, rows)
+    pivots, red = gauss_jordan_rref(QQ, rows, ncols)
     elim = fed(QQ, rows)
     elim.finalize()
     assert elim.pivots() == pivots
     assert [dense(QQ, ncols, elim.pivot_rows[p]) for p in pivots] == red
 
 
+@st.composite
+def wide_qq_rows(draw):
+    """At least 200 columns and 8 rows, each row a few entries on a
+    shared handful of columns, so rows meet each other's pivots; zero and
+    dependent rows included."""
+    ncols = draw(st.integers(200, 260))
+    hot = draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=14,
+                        unique=True))
+    nonzero = st.one_of(st.integers(1, 6), st.integers(-6, -1),
+                        st.builds(Fraction, st.integers(1, 9),
+                                  st.integers(2, 8)))
+    entries = st.dictionaries(st.sampled_from(hot), nonzero, max_size=5)
+    rows = [dense(QQ, ncols, {j: QQ.coerce(v) for j, v in row.items()})
+            for row in draw(st.lists(entries, min_size=8, max_size=12))]
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.sampled_from(rows))
+        b = draw(st.sampled_from(rows))
+        c = QQ.coerce(draw(SCALARS))
+        rows.append([x + c * y for x, y in zip(a, b)])
+    return ncols, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(qq_rows(SPARSE_SCALARS), wide_qq_rows()),
+       st.sampled_from([QQ, GF7]))
+@example((5, []), QQ)
+@example((250, []), GF7)
+def test_linalg_rref_matches_dense_oracle(case, field):
+    ncols, rows = case
+    if field is GF7:
+        rows = mod7(rows)
+    event("at least 200 columns" if ncols >= 200 else "narrow")
+    pivots, red = gauss_jordan_rref(field, rows, ncols)
+    mat, got = rref(Matrix(field, len(rows), ncols, rows))
+    assert list(got) == pivots
+    assert (mat.nrows, mat.ncols) == (len(red), ncols)
+    assert mat.rows == red
+    scalar_type = type(field.one)
+    assert all(type(v) is scalar_type for row in mat.rows for v in row)
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF(7)"])
+def test_descending_rref_is_the_reversed_rref(field):
+    for seed in range(40):
+        rng = rng_from_seed(seed)
+        amb = rng.choice([2, 4, 8, 9, 16, 27])
+        rel = random_subspace(field, amb, rng)
+        last = amb - 1
+        flipped = [row[::-1] for row in rel.basis.rows]
+        pivots, red = gauss_jordan_rref(field, flipped, amb)
+        want = {last - p: {last - j: c for j, c in enumerate(row) if c}
+                for p, row in zip(pivots, red)}
+        assert _descending_rref(rel) == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(qq_rows())
 def test_rank_and_pivot_rows_before_finalize(case):
     ncols, rows = case
-    pivots, red = oracle(QQ, ncols, rows)
+    pivots, red = gauss_jordan_rref(QQ, rows, ncols)
     elim = fed(QQ, rows)
     assert elim.rank == len(pivots)
     assert elim.pivots() == pivots
@@ -130,7 +218,7 @@ def test_rank_and_pivot_rows_before_finalize(case):
     stored = [dense(QQ, ncols, elim.pivot_rows[p]) for p in pivots]
     for p in pivots:
         assert min(elim.pivot_rows[p]) == p
-    assert oracle(QQ, ncols, stored) == (pivots, red)
+    assert gauss_jordan_rref(QQ, stored, ncols) == (pivots, red)
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +243,7 @@ def test_finalize_is_idempotent_and_yields_field_scalars(case):
 def test_prime_field_rank_and_pivot_rows_before_finalize(case):
     ncols, rows = case
     rows = mod7(rows)
-    pivots, red = oracle(GF7, ncols, rows)
+    pivots, red = gauss_jordan_rref(GF7, rows, ncols)
     elim = fed(GF7, rows)
     assert elim.rank == len(pivots)
     assert elim.pivots() == pivots
@@ -163,7 +251,7 @@ def test_prime_field_rank_and_pivot_rows_before_finalize(case):
         assert min(elim.pivot_rows[p]) == p
         assert elim.pivot_rows[p][p] == 1
     stored = [dense(GF7, ncols, elim.pivot_rows[p]) for p in pivots]
-    assert oracle(GF7, ncols, stored) == (pivots, red)
+    assert gauss_jordan_rref(GF7, stored, ncols) == (pivots, red)
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,7 +259,7 @@ def test_prime_field_rank_and_pivot_rows_before_finalize(case):
 def test_prime_field_matches_dense_oracle(case):
     ncols, rows = case
     rows = mod7(rows)
-    pivots, red = oracle(GF7, ncols, rows)
+    pivots, red = gauss_jordan_rref(GF7, rows, ncols)
     elim = fed(GF7, rows)
     assert elim.pivots() == pivots
     elim.finalize()
@@ -254,7 +342,7 @@ def test_one_pass_finalize_frozen_case(field):
                                    3: {3: 1, 4: 5, 5: 4}}
     dense_rows = [dense(field, 6, {j: c(v) for j, v in row.items()})
                   for row in rows]
-    pivots, red = oracle(field, 6, dense_rows)
+    pivots, red = gauss_jordan_rref(field, dense_rows, 6)
     assert [dense(field, 6, elim.pivot_rows[p]) for p in pivots] == red
 
 
