@@ -11,7 +11,7 @@ Tor_i being concentrated in one "pure" degree.
 
 from pathlib import Path
 
-from nkoszul import (contracted, koszulity_check, parse_definition,
+from nkoszul import (ContractedComplex, koszulity_check, parse_definition,
                      symmetric_algebra, tor_dims, tor_pure_degree, tor_purity,
                      verdict_string)
 
@@ -35,7 +35,7 @@ print()
 
 # The contracted complex of the two-relation algebra fails to be exact:
 # homology in positive steps is already visible in low total degree.
-cx = contracted(pair, 2, 0, i_max=4)
+cx = ContractedComplex(pair, 2, 0)
 for t in range(9):
     for i in (1, 2):
         h = cx.homology_dim(i, t)

@@ -13,15 +13,14 @@ from .algebra import (GradedElement, Morphism, NHomogeneousAlgebra, bullet,
                       symmetric_algebra, veronese_dims)
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
 from .fields import GF, QQ, PrimeField, RationalField, field_from_name
-from .linalg import (LinearMap, Matrix, Subspace, homology_dim, image,
-                     kernel, rank, rref, subspace_intersect, subspace_sum)
+from .linalg import (Matrix, Subspace, homology_dim, image, kernel, rank,
+                     rref, subspace_intersect, subspace_sum)
 from .koszul import (ContractedComplex, ConvolutionContext, DualComponent,
                      GradedMap, HomologyReport, KoszulElement, KoszulVerdict,
-                     LComplexSlice, NComplexSlice, contracted,
-                     convolution_check, dual_component, generalized_homology,
-                     koszul_K, koszul_L, koszulity_check, lemma2_check,
-                     slice_acyclic, tor_dims, tor_pure_degree, tor_purity,
-                     verdict_string)
+                     LComplexSlice, NComplexSlice, convolution_check,
+                     dual_component, generalized_homology, koszul_K,
+                     koszul_L, koszulity_check, lemma2_check, slice_acyclic,
+                     tor_dims, tor_pure_degree, tor_purity, verdict_string)
 from .words import (WordBasis, annihilator, block_embed, index_word,
                     interleave_subspace, shuffle_map, tensor_subspace,
                     word_index)

@@ -190,7 +190,7 @@ def _run(args):
                 report.add("homology n=%d p=%d" % (n, p), dims)
     elif cmdname == "contracted":
         p = args.p if args.p is not None else A.N - 1
-        cc = ContractedComplex(A, p, args.r, imax, nmax)
+        cc = ContractedComplex(A, p, args.r, nmax)
         report.add("p", p)
         report.add("r", args.r)
         report.add("nmax", nmax)
@@ -225,7 +225,7 @@ def _run(args):
         report.add("relations", A.relations.dim)
         report.add("leading_words", leading)
         report.add("image_dim", len(op.image_words()))
-        mat = op.S.matrix
+        mat = op.S
         for w in op.leading_words:
             terms = []
             for i in range(mat.nrows):

@@ -22,8 +22,10 @@ scale s_k (1 over GF(p)).  Ranks and zero tests do not see the scale;
 
 The dual-side component W_m = (B^!_m)* is the annihilator of the
 degree-m relations of B^!; its natural basis is dual to the normal-word
-classes of B^!, so all of its structure (dimensions, first-letter
-splits, coproduct coefficients) reads off the dual algebra's engine.
+classes of B^!, so all of its structure reads off the dual algebra
+``bang`` = B^!: its dimension is ``bang.dim(m)``, its first-letter split
+is ``bang.lmul_rows(m)`` (left multiplication in B^!, transposed), and
+its coproduct coefficients are ``bang.basis_product``.
 """
 
 from collections import namedtuple
@@ -31,8 +33,8 @@ from math import lcm
 
 from .algebra import GradedElement, Morphism, _modulus, _settled, circ
 from .errors import ContractViolation, DimensionMismatch
-from .linalg import Matrix, pivot_rows_to_subspace
-from .sparsela import Eliminator, SparseMatrix, row_axpy
+from .linalg import pivot_rows_to_subspace
+from .sparsela import Eliminator, SparseMatrix, row_axpy, transpose_cols
 from .words import index_word
 
 DualComponent = namedtuple("DualComponent", ["m", "space"])
@@ -72,74 +74,21 @@ def kron_sum_apply(p, xs, ys, y_src, y_tgt, vec):
     return _settled(out, p)
 
 
-def _transpose_cols(cols, tgt_dim):
-    """Per factor: sparse columns of a map into tgt_dim, as its rows."""
-    out = []
-    for col_l in cols:
-        rows = [{} for _ in range(tgt_dim)]
-        for src, entries in enumerate(col_l):
-            for tgt, c in entries.items():
-                rows[tgt][src] = c
-        out.append(rows)
-    return out
-
-
-class DualSide:
-    """Dual-side components W_m of an algebra, with first-letter splits."""
-
-    def __init__(self, algebra):
-        # dim_e rather than the algebra itself: the algebra caches this
-        # object, and a back reference would make a reference cycle
-        self.dim_e = algebra.dim_e
-        self.bang = algebra.dual()
-        self._splits = {}
-
-    def dim(self, m):
-        return self.bang.dim(m)
-
-    def split_rows(self, m):
-        """Per letter: for each W_m basis vector, its W_{m-1} component.
-
-        Basis vectors of W_m are dual to normal-word classes of the dual
-        algebra, so the first-letter component is the transposed
-        left-multiplication matrix of the dual algebra: integer, scaled
-        by the dual algebra's ``lden`` in degree m.
-        """
-        rows = self._splits.get(m)
-        if rows is None:
-            rows = _transpose_cols(self.bang.lmul(m), self.bang.dim(m))
-            self._splits[m] = rows
-        return rows
-
-    def ambient_rows(self, m):
-        """Basis of W_m expanded in word coordinates (desk scale)."""
-        g = self.dim_e
-        wm = self.bang.dim(m)
-        rows = [{} for _ in range(wm)]
-        for widx in range(g ** m):
-            vec = self.bang.word_class(index_word(widx, g, m))
-            for u, c in vec.items():
-                rows[u][widx] = c
-        return rows
-
-
-def dual_side(algebra):
-    side = getattr(algebra, "_dual_side", None)
-    if side is None:
-        side = DualSide(algebra)
-        algebra._dual_side = side
-    return side
-
-
 def dual_component(algebra, m):
     """W_m as a canonical subspace of E^(x)m (desk scale)."""
     if m < 0:
         raise DimensionMismatch("negative degree")
-    field = algebra.field
-    ambient = algebra.dim_e ** m
+    field, g = algebra.field, algebra.dim_e
+    bang = algebra.dual()
+    ambient = g ** m
+    # row u: basis vector u of W_m in word coordinates, dual to class u
+    rows = [{} for _ in range(bang.dim(m))]
+    for widx in range(ambient):
+        for u, c in bang.word_class(index_word(widx, g, m)).items():
+            rows[u][widx] = c
     elim = Eliminator(field)
-    for row in dual_side(algebra).ambient_rows(m):
-        elim.add(dict(row))
+    for row in rows:
+        elim.add(row)
     elim.finalize()
     return DualComponent(m, pivot_rows_to_subspace(field, ambient,
                                                    elim.pivot_rows))
@@ -185,8 +134,7 @@ class _KoszulSlice:
         self.target = morphism.target
         self.field = self.source.field
         self.N = self.source.N
-        self.side = dual_side(self.source)
-        self.bang = self.side.bang
+        self.bang = self.source.dual()
         self._p = _modulus(self.field)
         self._identity = (self.source is self.target
                           and _is_identity_matrix(morphism.matrix))
@@ -375,20 +323,20 @@ class NComplexSlice(_KoszulSlice):
         for k in range(n + 1):
             m = n - k
             c_dim = self.target.dim(k)
-            w_dim = self.side.dim(m)
+            w_dim = self.bang.dim(m)
             self.positions.append(PositionInfo(m, k, m, c_dim * w_dim,
                                                c_dim, w_dim))
 
     def _forward(self, src, tgt):
         xs, s = self._twisted("rmul", tgt.c_degree)
         m = src.w_degree
-        return ((xs, self.side.split_rows(m), src.w_dim, tgt.w_dim),
+        return ((xs, self.bang.lmul_rows(m), src.w_dim, tgt.w_dim),
                 s * self.bang.component(m).lden)
 
     def _transposed(self, src, tgt):
         xs, s = self._twisted("rmul", tgt.c_degree)
         m = src.w_degree
-        return ((_transpose_cols(xs, tgt.c_dim), self.bang.lmul(m),
+        return ((transpose_cols(xs, tgt.c_dim), self.bang.lmul(m),
                  tgt.w_dim, src.w_dim), s * self.bang.component(m).lden)
 
     def _where(self):
@@ -441,7 +389,7 @@ class LComplexSlice(_KoszulSlice):
     def _transposed(self, src, tgt):
         ys, s = self._twisted("lmul", tgt.c_degree)
         m = tgt.w_degree
-        return ((self.side.split_rows(m), _transpose_cols(ys, tgt.c_dim),
+        return ((self.bang.lmul_rows(m), transpose_cols(ys, tgt.c_dim),
                  tgt.c_dim, src.c_dim), self.bang.component(m).lden * s)
 
     def _where(self):
@@ -524,11 +472,13 @@ class ContractedComplex:
     """Ordinary complex C_{p,r}: blocks A (x) W_{k(i)}, alternating d^p, d^{N-p}.
 
     k(2j) = jN + r and k(2j+1) = (j+1)N - p + r; the map into an odd
-    degree is d^p, into an even degree d^{N-p}.  Blocks are materialized
-    per total degree t <= n_max.
+    degree is d^p, into an even degree d^{N-p}.  Every homological degree
+    i is available; each total degree t is one K(id) slice, built on first
+    use.  n_max (default 2N + 2) is only the default window of ``h0_dims``
+    and ``expected_h0_dims``.
     """
 
-    def __init__(self, algebra, p, r, i_max, n_max=None):
+    def __init__(self, algebra, p, r, n_max=None):
         N = algebra.N
         if not 0 <= r <= N - 2 or not r + 1 <= p <= N - 1:
             raise DimensionMismatch(
@@ -537,7 +487,6 @@ class ContractedComplex:
         self.algebra = algebra
         self.p = p
         self.r = r
-        self.i_max = i_max
         self.n_max = 2 * N + 2 if n_max is None else n_max
         self._slices = {}
         self._id = Morphism.identity(algebra)
@@ -600,10 +549,6 @@ class ContractedComplex:
             self.p, self.r, self.algebra)
 
 
-def contracted(algebra, p, r, i_max, n_max=None):
-    return ContractedComplex(algebra, p, r, i_max, n_max)
-
-
 KoszulVerdict = namedtuple("KoszulVerdict", ["koszul", "n_max", "witness"])
 
 
@@ -615,7 +560,7 @@ def koszulity_check(algebra, n_max):
     N = algebra.N
     if n_max < N:
         raise DimensionMismatch("n_max must be at least N")
-    cx = ContractedComplex(algebra, N - 1, 0, i_max=None, n_max=n_max)
+    cx = ContractedComplex(algebra, N - 1, 0, n_max)
     for t in range(n_max + 1):
         i = 1
         while cx.k_index(i) <= t:
@@ -819,11 +764,15 @@ class KoszulElement:
 
 
 class GradedMap:
-    """A degree-0 map (B^!)* -> C given by one matrix per degree."""
+    """A degree-0 map (B^!)* -> C, held as sparse columns per degree.
+
+    ``component(m)`` is a list with one dict {C_m position: scalar} per
+    basis vector of W_m, or None when the degree-m map is zero.
+    """
 
     def __init__(self, components):
-        self.components = {m: mat for m, mat in components.items()
-                           if not mat.is_zero()}
+        self.components = {m: cols for m, cols in components.items()
+                           if any(cols)}
 
     def component(self, m):
         return self.components.get(m)
@@ -836,19 +785,16 @@ class GradedMap:
 
     @classmethod
     def from_morphism(cls, morphism):
-        return cls({1: morphism.matrix})
+        mat = morphism.matrix
+        return cls({1: [{j: row[a] for j, row in enumerate(mat.rows) if row[a]}
+                        for a in range(mat.ncols)]})
 
 
-def _column(mat, j):
-    """Column j of a dense Matrix as a sparse dict."""
-    return {i: row[j] for i, row in enumerate(mat.rows) if row[j]}
-
-
-def _block_offsets(target, side, t):
+def _block_offsets(target, bang, t):
     """Offsets of the blocks C_{t-m} (x) W_m, m = 0..t, then their total."""
     offsets = [0]
     for m in range(t + 1):
-        offsets.append(offsets[-1] + target.dim(t - m) * side.dim(m))
+        offsets.append(offsets[-1] + target.dim(t - m) * bang.dim(m))
     return offsets
 
 
@@ -858,8 +804,7 @@ class ConvolutionContext:
     def __init__(self, source, target):
         self.source = source
         self.target = target
-        self.side = dual_side(source)
-        self.bang = self.side.bang
+        self.bang = source.dual()
         self.field = source.field
 
     def convolve(self, alpha, beta, m_max):
@@ -872,24 +817,20 @@ class ConvolutionContext:
         field = self.field
         out = {}
         for m in range(m_max + 1):
-            wm = self.side.dim(m)
-            cm = self.target.dim(m)
+            wm = self.bang.dim(m)
             if wm == 0:
                 continue
             cols = [dict() for _ in range(wm)]
             for k in range(m + 1):
                 l = m - k
-                amat = beta.component(k)
-                bmat = alpha.component(l)
-                if amat is None or bmat is None:
+                acols = beta.component(k)
+                bcols = alpha.component(l)
+                if acols is None or bcols is None:
                     continue
-                wk, wl = self.side.dim(k), self.side.dim(l)
-                for a in range(wk):
-                    va = _column(amat, a)
+                for a, va in enumerate(acols):
                     if not va:
                         continue
-                    for b in range(wl):
-                        vb = _column(bmat, b)
+                    for b, vb in enumerate(bcols):
                         if not vb:
                             continue
                         # coproduct coefficients: the (a,b) entry of Delta
@@ -902,11 +843,7 @@ class ConvolutionContext:
                             continue
                         for u, du in pv.items():
                             row_axpy(field, cols[u], du, cprod)
-            mat = Matrix.zeros(field, cm, wm)
-            for u, col in enumerate(cols):
-                for i, v in col.items():
-                    mat.rows[i][u] = v
-            out[m] = mat
+            out[m] = cols
         return GradedMap(out)
 
     def convolution_power(self, alpha, e, m_max):
@@ -926,10 +863,10 @@ class ConvolutionContext:
         """
         field, one = self.field, self.field.one
         p = _modulus(field)
-        offsets = _block_offsets(self.target, self.side, t)
+        offsets = _block_offsets(self.target, self.bang, t)
         cols = [dict() for _ in range(offsets[-1])]
         for m in range(t + 1):
-            wm = self.side.dim(m)
+            wm = self.bang.dim(m)
             cs = self.target.dim(t - m)
             if wm == 0 or cs == 0:
                 continue
@@ -937,13 +874,11 @@ class ConvolutionContext:
                 mk = m - k
                 if mk < 0:
                     continue
-                wmk = self.side.dim(mk)
+                wmk = self.bang.dim(mk)
                 if wmk == 0 or self.target.dim(t - mk) == 0:
                     continue
-                amat = alpha.component(k)
                 xs, ys = [], []
-                for a in range(self.side.dim(k)):
-                    va = _column(amat, a)
+                for a, va in enumerate(alpha.component(k)):
                     if not va:
                         continue
                     xs.append([self.target.vector_product(t - m, {c: one},
@@ -951,7 +886,7 @@ class ConvolutionContext:
                                for c in range(cs)])
                     ys.append([self.bang.basis_product(k, a, mk, b)
                                for b in range(wmk)])
-                ys = _transpose_cols(ys, wm)
+                ys = transpose_cols(ys, wm)
                 for j in range(cs * wm):
                     col = cols[offsets[m] + j]
                     for i, v in kron_sum_apply(p, xs, ys, wm, wmk,
@@ -1000,22 +935,25 @@ def _random_graded_map(ctx, m_max, rng):
     comps = {}
     field = ctx.field
     for m in range(m_max + 1):
-        wm = ctx.side.dim(m)
+        wm = ctx.bang.dim(m)
         cm = ctx.target.dim(m)
         if wm == 0 or cm == 0:
             continue
-        mat = Matrix.zeros(field, cm, wm)
+        cols = [{} for _ in range(wm)]
+        # entries drawn row by row, as for a dense cm x wm matrix
         for i in range(cm):
-            for j in range(wm):
-                mat.rows[i][j] = field.coerce(rng.randint(-3, 3))
-        comps[m] = mat
+            for col in cols:
+                v = rng.randint(-3, 3)
+                if v:
+                    col[i] = field.coerce(v)
+        comps[m] = cols
     return GradedMap(comps)
 
 
 def _k_differential_total(morphism, t):
     """All K(f)^t differentials assembled as one endo-sized sparse matrix."""
     sl = koszul_K(morphism, t)
-    offsets = _block_offsets(morphism.target, dual_side(morphism.source), t)
+    offsets = _block_offsets(morphism.target, morphism.source.dual(), t)
     total = offsets[-1]
     cols = [dict() for _ in range(total)]
     for m in range(1, t + 1):

@@ -128,6 +128,14 @@ class Matrix:
         return "Matrix(%d x %d over %r)" % (self.nrows, self.ncols, self.field)
 
 
+def _eliminated(matrix):
+    """An Eliminator fed the rows of a dense matrix, not finalized."""
+    elim = Eliminator(matrix.field)
+    for row in matrix.rows:
+        elim.add({j: v for j, v in enumerate(row) if v})
+    return elim
+
+
 def rref(matrix):
     """Reduced row echelon form.
 
@@ -135,65 +143,15 @@ def rref(matrix):
     zeros above and below, pivots strictly increasing.  The result is the
     canonical representative of the row space.
     """
-    elim = Eliminator(matrix.field)
-    for row in matrix.rows:
-        elim.add({j: v for j, v in enumerate(row) if v})
+    elim = _eliminated(matrix)
     elim.finalize()
     sub = pivot_rows_to_subspace(matrix.field, matrix.ncols, elim.pivot_rows)
     return sub.basis, sub.pivots
 
 
 def rank(matrix):
-    return rref(matrix)[0].nrows
-
-
-class LinearMap:
-    """Linear map stored as a (codomain x domain) matrix acting on columns."""
-
-    __slots__ = ("field", "domain_dim", "codomain_dim", "matrix")
-
-    def __init__(self, matrix):
-        self.field = matrix.field
-        self.matrix = matrix
-        self.domain_dim = matrix.ncols
-        self.codomain_dim = matrix.nrows
-
-    @classmethod
-    def from_rows(cls, field, rows, domain_dim=None):
-        return cls(Matrix.from_rows(field, rows, ncols=domain_dim))
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(Matrix.identity(field, n))
-
-    @classmethod
-    def zero(cls, field, codomain_dim, domain_dim):
-        return cls(Matrix.zeros(field, codomain_dim, domain_dim))
-
-    def apply(self, vec):
-        return self.matrix.apply(vec)
-
-    def compose(self, other):
-        """self after other."""
-        if other.codomain_dim != self.domain_dim:
-            raise DimensionMismatch("composition shape mismatch")
-        return LinearMap(self.matrix.mul(other.matrix))
-
-    def rank(self):
-        return rank(self.matrix)
-
-    def is_zero(self):
-        return self.matrix.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, LinearMap) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return "LinearMap(%d -> %d over %r)" % (
-            self.domain_dim, self.codomain_dim, self.field)
+    """Rank, read from the forward elimination without back-substituting."""
+    return _eliminated(matrix).rank
 
 
 class Subspace:
@@ -291,11 +249,11 @@ def pivot_rows_to_subspace(field, ambient, pivot_rows):
     return Subspace(field, ambient, mat, tuple(pivots))
 
 
-def kernel(f):
-    """Kernel of a LinearMap as a canonical Subspace of its domain."""
-    red, pivots = rref(f.matrix)
-    fld = f.field
-    n = f.domain_dim
+def kernel(matrix):
+    """Kernel of a matrix acting on columns, as a canonical Subspace."""
+    red, pivots = rref(matrix)
+    fld = matrix.field
+    n = matrix.ncols
     pivset = set(pivots)
     free = [j for j in range(n) if j not in pivset]
     vectors = []
@@ -309,10 +267,10 @@ def kernel(f):
     return Subspace.from_vectors(fld, n, vectors)
 
 
-def image(f):
-    """Image of a LinearMap as a canonical Subspace of its codomain."""
-    red, piv = rref(f.matrix.transpose())
-    return Subspace(f.field, f.codomain_dim, red, piv)
+def image(matrix):
+    """Column space of a matrix as a canonical Subspace."""
+    red, piv = rref(matrix.transpose())
+    return Subspace(matrix.field, matrix.nrows, red, piv)
 
 
 def subspace_sum(a, b):
@@ -336,7 +294,7 @@ def subspace_intersect(a, b):
         row = [a.basis.rows[i][j] for i in range(da)]
         row += [f.neg(b.basis.rows[i][j]) for i in range(db)]
         rows.append(row)
-    ker = kernel(LinearMap.from_rows(f, rows, domain_dim=da + db))
+    ker = kernel(Matrix.from_rows(f, rows, ncols=da + db))
     vectors = []
     for coeffs in ker.basis.rows:
         vec = [f.zero] * a.ambient_dim
@@ -352,12 +310,12 @@ def subspace_intersect(a, b):
 
 
 def homology_dim(a, b):
-    """dim Ker(b) / Im(a) for composable maps with b after a.
+    """dim Ker(b) / Im(a) for composable matrices with b after a.
 
-    Raises ContractViolation unless b o a = 0.
+    Raises ContractViolation unless b a = 0.
     """
-    if a.codomain_dim != b.domain_dim:
+    if a.nrows != b.ncols:
         raise DimensionMismatch("homology_dim: maps not composable")
-    if not b.compose(a).is_zero():
+    if not b.mul(a).is_zero():
         raise ContractViolation("homology_dim: composition b o a is nonzero")
-    return b.domain_dim - b.rank() - a.rank()
+    return b.ncols - rank(b) - rank(a)

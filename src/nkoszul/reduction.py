@@ -11,7 +11,7 @@ rewrites must decrease words.
 from collections import namedtuple
 
 from .errors import ContractViolation, DimensionMismatch
-from .linalg import LinearMap, Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, kernel
 from .sparsela import Eliminator
 from .words import block_embed, index_word, word_index
 
@@ -31,7 +31,7 @@ class ReductionOperator:
     def image_words(self):
         """The words fixed by S; they span Im(S)."""
         lead = set(self.leading_words)
-        return [w for w in range(self.S.domain_dim) if w not in lead]
+        return [w for w in range(self.S.ncols) if w not in lead]
 
     def __repr__(self):
         return "ReductionOperator(n=%d, leading=%r)" % (
@@ -66,7 +66,6 @@ def reduction_operator(relations, word_length):
         for w, c in row.items():
             mat.rows[w][lead] = field.neg(c)
         mat.rows[lead][lead] = field.zero
-    op = LinearMap(mat)
     for a in range(amb):
         col = [mat.rows[i][a] for i in range(amb)]
         if a in reduced:
@@ -75,11 +74,11 @@ def reduction_operator(relations, word_length):
         else:
             if any(col[w] for w in range(amb) if w != a) or col[a] != field.one:
                 raise ContractViolation("word %d should be fixed" % a)
-    if op.compose(op).matrix != mat:
+    if mat.mul(mat) != mat:
         raise ContractViolation("operator is not idempotent")
-    if kernel(op) != relations:
+    if kernel(mat) != relations:
         raise ContractViolation("kernel differs from the relation space")
-    return ReductionOperator(word_length, op, sorted(reduced), relations)
+    return ReductionOperator(word_length, mat, sorted(reduced), relations)
 
 
 Lemma3Result = namedtuple("Lemma3Result", ["equal", "conclusion"])

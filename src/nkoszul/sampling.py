@@ -8,7 +8,7 @@ either stay within exact-arithmetic reach.
 
 import random
 
-from .algebra import Morphism, NHomogeneousAlgebra
+from .algebra import Morphism, NHomogeneousAlgebra, _tensor_power_matrix
 from .fields import QQ
 from .linalg import Matrix, Subspace, rank
 
@@ -51,22 +51,24 @@ def random_invertible_matrix(field, size, rng, span=3):
             return mat
 
 
+def _transported_relations(algebra, matrix):
+    """Image of the relation space under the N-th tensor power of matrix."""
+    power = _tensor_power_matrix(matrix, algebra.N, algebra.field)
+    rows = [power.apply(row) for row in algebra.relations.basis.rows]
+    return Subspace.from_vectors(algebra.field,
+                                 algebra.relations.ambient_dim, rows)
+
+
 def transported_algebra(algebra, matrix):
     """The algebra whose relations are the matrix-power image of the input's."""
-    power = matrix
-    for _ in range(algebra.N - 1):
-        power = power.kron(matrix)
-    rows = [power.apply(list(v)) for v in algebra.relations.basis.rows]
-    relations = Subspace.from_vectors(algebra.field, algebra.relations.ambient_dim,
-                                      rows)
-    return NHomogeneousAlgebra(algebra.dim_e, algebra.N, relations)
+    return NHomogeneousAlgebra(algebra.dim_e, algebra.N,
+                               _transported_relations(algebra, matrix))
 
 
 def random_isomorphism(algebra, rng, span=3):
     """An isomorphism from the given algebra onto a transported copy."""
     mat = random_invertible_matrix(algebra.field, algebra.dim_e, rng, span)
-    target = transported_algebra(algebra, mat)
-    return Morphism(algebra, target, [list(r) for r in mat.rows])
+    return Morphism(algebra, transported_algebra(algebra, mat), mat)
 
 
 def random_rank_deficient_morphism(algebra, rng, span=3):
@@ -77,14 +79,7 @@ def random_rank_deficient_morphism(algebra, rng, span=3):
         sq = Matrix.from_rows(algebra.field, rows)
         if rank(sq) < g:
             break
-    power = sq
-    for _ in range(algebra.N - 1):
-        power = power.kron(sq)
-    img = [power.apply(list(v)) for v in algebra.relations.basis.rows]
-    relations = Subspace.from_vectors(algebra.field,
-                                      algebra.relations.ambient_dim, img)
-    target = NHomogeneousAlgebra(algebra.dim_e, algebra.N, relations)
-    return Morphism(algebra, target, [list(r) for r in sq.rows])
+    return Morphism(algebra, transported_algebra(algebra, sq), sq)
 
 
 def random_full_rank_non_isomorphism(algebra, rng, span=3):
@@ -98,18 +93,13 @@ def random_full_rank_non_isomorphism(algebra, rng, span=3):
     if algebra.relations.dim >= amb:
         return None
     mat = random_invertible_matrix(algebra.field, algebra.dim_e, rng, span)
-    power = mat
-    for _ in range(algebra.N - 1):
-        power = power.kron(mat)
-    rows = [power.apply(list(v)) for v in algebra.relations.basis.rows]
-    transported = Subspace.from_vectors(algebra.field, amb, rows)
+    transported = _transported_relations(algebra, mat)
     # adjoin one random vector outside the transported relations
     while True:
         extra = [rng.randint(-span, span) for _ in range(amb)]
-        if not transported.contains_vector(list(extra)):
+        if not transported.contains_vector(extra):
             break
     bigger = Subspace.from_vectors(algebra.field, amb,
-                                   [list(r) for r in transported.basis.rows]
-                                   + [extra])
+                                   transported.basis.rows + [extra])
     target = NHomogeneousAlgebra(algebra.dim_e, algebra.N, bigger)
-    return Morphism(algebra, target, [list(r) for r in mat.rows])
+    return Morphism(algebra, target, mat)

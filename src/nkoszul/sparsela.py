@@ -39,6 +39,18 @@ def row_axpy(field, target, c, source):
                 del target[j]
 
 
+def transpose_cols(cols, tgt_dim):
+    """Per factor: sparse columns of a map into tgt_dim, as its rows."""
+    out = []
+    for col_l in cols:
+        rows = [{} for _ in range(tgt_dim)]
+        for src, entries in enumerate(col_l):
+            for tgt, c in entries.items():
+                rows[tgt][src] = c
+        out.append(rows)
+    return out
+
+
 def primitive_row(row):
     """The integer row proportional to a QQ row, with content 1."""
     den = 1

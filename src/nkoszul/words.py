@@ -7,7 +7,7 @@ significant), so lexicographic word order matches index order.
 """
 
 from .errors import DimensionMismatch
-from .linalg import LinearMap, Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, kernel
 
 
 def word_index(word, alphabet_size):
@@ -98,7 +98,7 @@ def shuffle_map(field, n_blocks, dim_a, dim_b):
     mat = Matrix.zeros(field, total, total)
     for sep, inter in enumerate(perm):
         mat.rows[sep][inter] = field.one
-    return LinearMap(mat)
+    return mat
 
 
 def interleave_subspace(subspace, n_blocks, dim_a, dim_b):
@@ -125,7 +125,7 @@ def annihilator(subspace):
     Coordinates of the dual space are taken in the dual basis, so the
     annihilator of a subspace of words is again a subspace of words.
     """
-    return kernel(LinearMap(subspace.basis))
+    return kernel(subspace.basis)
 
 
 def tensor_subspace(a, b):

@@ -21,14 +21,14 @@ def unit(i, n):
 
 def test_zero_relations_give_identity():
     op = reduction_operator(Subspace.zero(QQ, 4), 2)
-    assert op.S.matrix == Matrix.identity(QQ, 4)
+    assert op.S == Matrix.identity(QQ, 4)
     assert op.leading_words == []
     assert op.image_words() == [0, 1, 2, 3]
 
 
 def test_full_relations_give_zero():
     op = reduction_operator(Subspace.full(QQ, 4), 2)
-    assert all(not c for row in op.S.matrix.rows for c in row)
+    assert all(not c for row in op.S.rows for c in row)
     assert op.leading_words == [0, 1, 2, 3]
 
 
@@ -48,9 +48,9 @@ def test_operator_contract():
         amb = 2 ** 3
         R = random_subspace(QQ, amb, rng)
         op = reduction_operator(R, 3)
-        S = op.S.matrix
+        S = op.S
         # idempotent
-        assert op.S.compose(op.S).matrix == S
+        assert S.mul(S) == S
         # kernel is exactly R
         assert kernel(op.S) == R
         # each column either fixes its word or rewrites strictly downward
@@ -82,9 +82,9 @@ def test_factorization_both_sides():
         for r in (1, 2):
             ident = Matrix.identity(QQ, 2 ** r)
             right = reduction_operator(block_embed(R, 2, 0, r), 2 + r)
-            assert op.S.matrix.kron(ident) == right.S.matrix
+            assert op.S.kron(ident) == right.S
             left = reduction_operator(block_embed(R, 2, r, 0), 2 + r)
-            assert ident.kron(op.S.matrix) == left.S.matrix
+            assert ident.kron(op.S) == left.S
 
 
 def test_lemma3_trivial_cases():

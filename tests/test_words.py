@@ -51,7 +51,7 @@ def test_interleave_index_frozen():
 def test_shuffle_map_is_permutation():
     f = shuffle_map(QQ, 2, 2, 2)
     seen = set()
-    for row in f.matrix.rows:
+    for row in f.rows:
         ones = [j for j, c in enumerate(row) if c]
         assert len(ones) == 1
         seen.add(ones[0])
