@@ -508,6 +508,17 @@ def _tensor_power_matrix(matrix, k, field):
     return out
 
 
+def _transported_relations(algebra, matrix):
+    """Image of the relation space under the N-th tensor power of matrix.
+
+    The image lies in the N-th tensor power of the matrix's target space,
+    whose dimension is the matrix's row count to the N.
+    """
+    power = _tensor_power_matrix(matrix, algebra.N, algebra.field)
+    rows = [power.apply(row) for row in algebra.relations.basis.rows]
+    return Subspace.from_vectors(algebra.field, power.nrows, rows)
+
+
 def is_morphism(source, target, matrix):
     """Does the linear map E -> E' send R into R'?"""
     if source.N != target.N or source.field != target.field:
@@ -551,10 +562,7 @@ class Morphism:
         return _tensor_power_matrix(self.matrix, k, self.source.field)
 
     def relations_image(self):
-        big = self.tensor_power(self.source.N)
-        rows = [big.apply(row) for row in self.source.relations.basis.rows]
-        return Subspace.from_vectors(self.source.field,
-                                     self.target.dim_e ** self.source.N, rows)
+        return _transported_relations(self.source, self.matrix)
 
     def is_isomorphism(self):
         if self.source.dim_e != self.target.dim_e:

@@ -26,6 +26,13 @@ classes of B^!, so all of its structure reads off the dual algebra
 ``bang`` = B^!: its dimension is ``bang.dim(m)``, its first-letter split
 is ``bang.lmul_rows(m)`` (left multiplication in B^!, transposed), and
 its coproduct coefficients are ``bang.basis_product``.
+
+On K(id) the free part of W is known without elimination: W_m = E^(x)m
+for m < N and W_N = R.  So ``NComplexSlice.rank_power`` reads three
+families of ranks off the tower's dims -- m < N (the product into A is
+onto), k + e < N (the split of W_m is injective) and m = N, e = N - 1
+(the images are the relation rows of the tower) -- and eliminates for
+every other rank, for L and for K(f) with f not the identity.
 """
 
 from collections import namedtuple
@@ -313,7 +320,6 @@ class NComplexSlice(_KoszulSlice):
     # bench/spans.py traces these through each class's own __dict__
     apply_differential = _KoszulSlice.apply_differential
     apply_transposed = _KoszulSlice.apply_transposed
-    rank_power = _KoszulSlice.rank_power
     verify_dN = _KoszulSlice.verify_dN
 
     def __init__(self, morphism, n):
@@ -326,6 +332,38 @@ class NComplexSlice(_KoszulSlice):
             w_dim = self.bang.dim(m)
             self.positions.append(PositionInfo(m, k, m, c_dim * w_dim,
                                                c_dim, w_dim))
+
+    def rank_power(self, k, e):
+        """Rank of d^e out of position k (zero once the window leaves the slice).
+
+        On K(id) the free part of W needs no elimination.  With m = n - k,
+        g = dim E and 0 < e <= m, position k is A_k (x) W_m and W_m = E^m
+        for m < N, W_N = R:
+
+        - F1, m < N: d^e is mu (x) id on A_k (x) E^e (x) E^(m-e), and the
+          product mu: A_k (x) E^e -> A_(k+e) is onto (A is generated in
+          degree 1), so the rank is dim A_(k+e) * g^(m-e).
+        - F2, k + e < N: mu is the identity of E^(k+e), and the split
+          W_m -> E^e (x) W_(m-e) is injective (the dual of the product
+          A^!_e (x) A^!_(m-e) -> A^!_m, which is onto), so the rank is the
+          dimension of position k.
+        - F3, m = N, e = N - 1: d^e(a (x) r) is the image of a * r in
+          A_(k+N-1) (x) E, and those images are the degree-(k+N) relation
+          rows of the tower, so the rank is g * dim A_(k+N-1) - dim A_(k+N).
+
+        Every other rank, and every rank of K(f) for f other than the
+        identity, is found by elimination.
+        """
+        m, N = self.n - k, self.N
+        if self._identity and 0 < e <= m and k >= 0:
+            if m < N:
+                return self.position_dim(k + e)
+            if k + e < N:
+                return self.position_dim(k)
+            if m == N and e == N - 1:
+                A = self.target
+                return A.dim_e * A.dim(k + N - 1) - A.dim(k + N)
+        return _KoszulSlice.rank_power(self, k, e)
 
     def _forward(self, src, tgt):
         xs, s = self._twisted("rmul", tgt.c_degree)

@@ -8,7 +8,7 @@ either stay within exact-arithmetic reach.
 
 import random
 
-from .algebra import Morphism, NHomogeneousAlgebra, _tensor_power_matrix
+from .algebra import Morphism, NHomogeneousAlgebra, _transported_relations
 from .fields import QQ
 from .linalg import Matrix, Subspace, rank
 
@@ -49,14 +49,6 @@ def random_invertible_matrix(field, size, rng, span=3):
         mat = Matrix.from_rows(field, rows)
         if rank(mat) == size:
             return mat
-
-
-def _transported_relations(algebra, matrix):
-    """Image of the relation space under the N-th tensor power of matrix."""
-    power = _tensor_power_matrix(matrix, algebra.N, algebra.field)
-    rows = [power.apply(row) for row in algebra.relations.basis.rows]
-    return Subspace.from_vectors(algebra.field,
-                                 algebra.relations.ambient_dim, rows)
 
 
 def transported_algebra(algebra, matrix):

@@ -215,6 +215,17 @@ def test_morphism_tensor_power():
     assert col == [QQ.one] * 4
 
 
+def test_relations_image_lives_in_the_target_power():
+    # x -> e0 + e2, y -> e1 + e2 sends xy - yx to a vector of E'^(x)2,
+    # dim 3^2 = 9, word (i, j) at index 3i + j
+    f = Morphism(commutator_algebra(), full_relations_algebra(3, 2),
+                 [[1, 0], [0, 1], [1, 1]])
+    image = f.relations_image()
+    assert image.ambient_dim == 9
+    assert image == Subspace.from_vectors(QQ, 9,
+                                          [[0, 1, 1, -1, 0, -1, -1, 1, 0]])
+
+
 @given(st.integers(min_value=0, max_value=31), st.integers(min_value=0, max_value=5))
 @settings(max_examples=40, deadline=None)
 def test_word_class_lives_in_component(seed, n):

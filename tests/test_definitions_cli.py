@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from nkoszul.definitions import (AlgebraDefinition, definition_from_algebra,
-                                 parse_definition, serialize_definition)
-from nkoszul.algebra import full_relations_algebra, hilbert_dims, symmetric_algebra
+from nkoszul.definitions import (definition_from_algebra, parse_definition,
+                                 serialize_definition)
+from nkoszul.algebra import hilbert_dims, symmetric_algebra
 from nkoszul.errors import DefinitionError
 
 WEDGE3 = "field rational\ngenerators d\ndegree 3\nrelation 1*d.d.d\n"

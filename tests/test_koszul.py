@@ -14,7 +14,7 @@ from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             KoszulElement, _BarBlock, _bar_matrix,
-                            convolution_check, dual_component,
+                            _KoszulSlice, convolution_check, dual_component,
                             generalized_homology, koszul_K, koszul_L,
                             koszulity_check, kron_sum_apply, lemma2_check,
                             slice_acyclic, tor_dims, tor_pure_degree,
@@ -181,6 +181,71 @@ def test_rank_power_matches_composed_differentials():
                             expected = rank(_dense(mat))
                     assert sl.rank_power(k, e) == expected
                     assert sl.rank_power(k, e) == expected   # cached
+
+
+def _closed_form_position(N, m, k, e):
+    """F1 (m < N), F2 (k + e < N) or F3 (m = N, e = N - 1) of rank_power."""
+    return 0 < e <= m and (m < N or k + e < N or (m == N and e == N - 1))
+
+
+def _closed_form_algebras(field):
+    """Per N: the stock algebras, and a random one whose tower reaches 0."""
+    out = []
+    for N, seed, dim_r in ((2, 2, 2), (3, 0, 4), (4, 0, 4)):
+        zero = random_algebra(2, N, rng_from_seed(seed), field=field,
+                              dim_r=dim_r)
+        assert zero.dim(2 * N + 2) == 0 < zero.dim(N + 1)
+        stock = [free_algebra(2, N, field=field),
+                 full_relations_algebra(2, N, field=field), zero]
+        if N == 2:
+            stock.append(symmetric_algebra(3, field=field))
+        out.append((N, stock))
+    return out
+
+
+def test_rank_power_closed_forms_on_K_identity(monkeypatch):
+    # On K(id) the F1-F3 ranks feed no Eliminator row and agree with the
+    # elimination path; every other position, and K(f) for f != id,
+    # still eliminates.
+    fed = [0]
+
+    class CountingEliminator(Eliminator):
+        def add(self, row):
+            fed[0] += 1
+            return super().add(row)
+
+    monkeypatch.setattr("nkoszul.koszul.Eliminator", CountingEliminator)
+    closed = eliminated = twisted = 0
+    for field in (QQ, GF(32003)):
+        for N, algebras in _closed_form_algebras(field):
+            for A in algebras:
+                ident = Morphism.identity(A)
+                for n in range(2 * N + 3):
+                    sl, oracle = koszul_K(ident, n), koszul_K(ident, n)
+                    for k in range(n + 1):
+                        for e in range(1, N + 1):
+                            before = fed[0]
+                            got = sl.rank_power(k, e)
+                            rows = fed[0] - before
+                            assert got == _KoszulSlice.rank_power(
+                                oracle, k, e), (A, n, k, e)
+                            if _closed_form_position(N, n - k, k, e):
+                                assert rows == 0, (A, n, k, e)
+                                closed += 1
+                            elif got:
+                                assert rows >= got, (A, n, k, e)
+                                eliminated += 1
+            f = random_isomorphism(algebras[2], rng_from_seed(N))  # random
+            for n in range(2 * N + 3):
+                sl = koszul_K(f, n)
+                for k in range(n + 1):
+                    for e in range(1, N + 1):
+                        before = fed[0]
+                        got = sl.rank_power(k, e)
+                        assert fed[0] - before >= got, (n, k, e)
+                        twisted += bool(
+                            got and _closed_form_position(N, n - k, k, e))
+    assert closed > 500 and eliminated > 50 and twisted > 50
 
 
 def test_d_to_the_N_vanishes_on_small_fixtures():

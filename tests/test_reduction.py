@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from nkoszul.errors import ContractViolation, DimensionMismatch
+from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import QQ
 from nkoszul.linalg import Matrix, Subspace, kernel
 from nkoszul.reduction import (lemma3_check, monomial_rotation_closure,

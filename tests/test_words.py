@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import QQ
-from nkoszul.linalg import Subspace, subspace_intersect
+from nkoszul.linalg import Subspace
 from nkoszul.words import (WordBasis, annihilator, block_embed, index_word,
                            interleave_index, interleave_subspace, shuffle_map,
                            tensor_subspace, word_index)
