@@ -8,8 +8,8 @@ N = 2 these are ordinary chain complexes; for larger N the homology
 comes in N-1 flavours, one for each power p of the differential.
 """
 
-from nkoszul import (Morphism, generalized_homology, koszul_K, koszul_L,
-                     lemma2_check, rng_from_seed, random_algebra,
+from nkoszul import (KoszulElement, Morphism, generalized_homology, koszul_K,
+                     koszul_L, lemma2_check, rng_from_seed, random_algebra,
                      random_isomorphism, random_rank_deficient_morphism,
                      symmetric_algebra)
 
@@ -41,6 +41,12 @@ sing = random_rank_deficient_morphism(A, rng)
 print("isomorphism     :", lemma2_check(iso))
 print("singular map    :", lemma2_check(sing))
 print()
+
+# Behind d^N = 0 is the degree-1 element xi_f of B^! o C that a morphism
+# f: B -> C defines: its N-th power vanishes, for every f.
+for f in (iso, sing):
+    if not KoszulElement(f).power_is_zero():
+        raise SystemExit("xi_f^N is not zero")
 
 # L(f) organizes the same data into chains of constant degree shift.
 for chain in koszul_L(ident, 4):

@@ -13,8 +13,7 @@ from .algebra import (GradedElement, Morphism, NHomogeneousAlgebra, bullet,
                       symmetric_algebra, veronese_dims)
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
 from .fields import GF, QQ, PrimeField, RationalField, field_from_name
-from .linalg import (Matrix, Subspace, homology_dim, image, kernel, rank,
-                     rref, subspace_intersect, subspace_sum)
+from .linalg import Matrix, Subspace, kernel, rank, rref
 from .koszul import (ContractedComplex, ConvolutionContext, DualComponent,
                      GradedMap, HomologyReport, KoszulElement, KoszulVerdict,
                      LComplexSlice, NComplexSlice, convolution_check,

@@ -102,9 +102,9 @@ def _integer_tables(field, rmul_cols, pivot_rows):
     """
     if field.kind != "rational":
         return rmul_cols, 1
-    den = lcm(*{int(v.denominator) for row in pivot_rows.values()
+    den = lcm(*{v.denominator for row in pivot_rows.values()
                 for v in row.values()})
-    int_cols = [[{pos: int(v.numerator) * (den // int(v.denominator))
+    int_cols = [[{pos: v.numerator * (den // v.denominator)
                   for pos, v in col.items()} for col in cols_l]
                 for cols_l in rmul_cols]
     return int_cols, den
@@ -166,8 +166,7 @@ class NHomogeneousAlgebra:
         if self._int_relation_rows is None:
             rows = self.relation_rows()
             if self.field.kind == "rational":
-                rows = [{j: int(v) for j, v in primitive_row(row).items()}
-                        for row in rows]
+                rows = [primitive_row(row) for row in rows]
             self._int_relation_rows = rows
         return self._int_relation_rows
 
@@ -375,20 +374,6 @@ class NHomogeneousAlgebra:
 
     # -- elements -------------------------------------------------------
 
-    def basis_element(self, n, pos):
-        comp = self.component(n)
-        coords = [self.field.zero] * comp.dim
-        coords[pos] = self.field.one
-        return GradedElement(n, tuple(coords))
-
-    def element_from_word(self, word):
-        vec = self.word_class(word)
-        dim = self.component(len(word)).dim
-        coords = [self.field.zero] * dim
-        for pos, c in vec.items():
-            coords[pos] = c
-        return GradedElement(len(word), tuple(coords))
-
     def multiply(self, a, b):
         """Product of graded elements, exact in normal-word coordinates."""
         m, k = a.degree, b.degree
@@ -557,9 +542,6 @@ class Morphism:
         ident.source = ident.target = algebra
         ident.matrix = Matrix.identity(algebra.field, algebra.dim_e)
         return ident
-
-    def tensor_power(self, k):
-        return _tensor_power_matrix(self.matrix, k, self.source.field)
 
     def relations_image(self):
         return _transported_relations(self.source, self.matrix)

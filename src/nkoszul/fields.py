@@ -1,17 +1,12 @@
 """Exact scalar arithmetic: the rationals and prime fields GF(p).
 
 Field objects bundle the scalar operations used by the linear algebra
-layers.  Scalars themselves are plain Python objects (gmpy2.mpq or
-fractions.Fraction for the rationals, ints in [0, p) for GF(p)), so
-sparse containers stay lightweight.
+layers.  Scalars themselves are plain Python objects (fractions.Fraction
+for the rationals, ints in [0, p) for GF(p)), so sparse containers stay
+lightweight.
 """
 
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is optional
-    _mpq = None
 
 
 class RationalField:
@@ -24,8 +19,6 @@ class RationalField:
         self.one = self.coerce(1)
 
     def coerce(self, x):
-        if _mpq is not None:
-            return _mpq(x)
         if isinstance(x, Fraction):
             return x
         return Fraction(x)
@@ -51,26 +44,10 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return self.one / a
 
-    def div(self, a, b):
-        return a * self.inv(b)
-
     @staticmethod
     def ratio(n, d):
         """The scalar n/d of two integers, d nonzero."""
-        if _mpq is not None:
-            return _mpq(n, d)
         return Fraction(n, d)
-
-    @staticmethod
-    def is_zero(a):
-        return not a
-
-    @staticmethod
-    def as_fraction(a):
-        """Exact Fraction view, independent of the backing scalar type."""
-        if isinstance(a, Fraction):
-            return a
-        return Fraction(a.numerator, a.denominator)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -124,13 +101,8 @@ class PrimeField:
             return x % p
         if isinstance(x, str) and "/" in x:
             x = Fraction(x)
-        if isinstance(x, Fraction) or (
-            hasattr(x, "numerator") and hasattr(x, "denominator")
-        ):
-            den = int(x.denominator) % p
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % p)
-            return int(x.numerator) * pow(den, -1, p) % p
+        if isinstance(x, Fraction):
+            return x.numerator * self.inv(x.denominator) % p
         return int(x) % p
 
     def add(self, a, b):
@@ -149,13 +121,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -109,15 +109,15 @@ def _integer_matrix(field, matrix):
     """
     if field.kind != "rational":
         return matrix.rows, 1
-    scale = lcm(*(int(v.denominator) for row in matrix.rows for v in row))
-    return [[int(v.numerator) * (scale // int(v.denominator)) for v in row]
+    scale = lcm(*(v.denominator for row in matrix.rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row]
             for row in matrix.rows], scale
 
 
 def _is_identity_matrix(matrix):
     if matrix.nrows != matrix.ncols:
         return False
-    one, field = matrix.field.one, matrix.field
+    one = matrix.field.one
     for i, row in enumerate(matrix.rows):
         for j, v in enumerate(row):
             if (v != one) if i == j else bool(v):
@@ -578,9 +578,6 @@ class ContractedComplex:
             j = t - self.r
             out.append(g ** t if 0 <= j <= N - self.p - 1 else 0)
         return out
-
-    def exact_at(self, i, t):
-        return self.homology_dim(i, t) == 0
 
     def __repr__(self):
         return "ContractedComplex(p=%d, r=%d of %r)" % (

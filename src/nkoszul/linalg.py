@@ -8,7 +8,7 @@ matrices are equal entry for entry.  The canonical forms come from
 ``rref`` feeds it a matrix's rows and reads back its finalized rows.
 """
 
-from .errors import ContractViolation, DimensionMismatch
+from .errors import DimensionMismatch
 from .sparsela import Eliminator
 
 
@@ -46,10 +46,6 @@ class Matrix:
         for i in range(n):
             m.rows[i][i] = field.one
         return m
-
-    def copy(self):
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [row[:] for row in self.rows])
 
     def transpose(self):
         rows = [[self.rows[i][j] for i in range(self.nrows)]
@@ -89,13 +85,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def stack(self, other):
-        if other.ncols != self.ncols:
-            raise DimensionMismatch("stack width mismatch")
-        return Matrix(self.field, self.nrows + other.nrows, self.ncols,
-                      [row[:] for row in self.rows] +
-                      [row[:] for row in other.rows])
-
     def kron(self, other):
         """Kronecker product; row (i,k) col (j,l) gets a_ij * b_kl."""
         f = self.field
@@ -111,9 +100,6 @@ class Matrix:
                 rows.append(row)
         return Matrix(f, self.nrows * other.nrows,
                       self.ncols * other.ncols, rows)
-
-    def is_zero(self):
-        return all(not x for row in self.rows for x in row)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -184,12 +170,6 @@ class Subspace:
     def dim(self):
         return self.basis.nrows
 
-    def is_zero(self):
-        return self.dim == 0
-
-    def is_full(self):
-        return self.dim == self.ambient_dim
-
     def coordinates_of(self, vec):
         """Coordinates of vec in the canonical basis, or None if outside."""
         f = self.field
@@ -209,11 +189,6 @@ class Subspace:
 
     def contains_vector(self, vec):
         return self.coordinates_of(vec) is not None
-
-    def contains(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient mismatch")
-        return all(self.contains_vector(row) for row in other.basis.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -265,57 +240,3 @@ def kernel(matrix):
                 vec[p] = fld.neg(red.rows[i][j])
         vectors.append(vec)
     return Subspace.from_vectors(fld, n, vectors)
-
-
-def image(matrix):
-    """Column space of a matrix as a canonical Subspace."""
-    red, piv = rref(matrix.transpose())
-    return Subspace(matrix.field, matrix.nrows, red, piv)
-
-
-def subspace_sum(a, b):
-    if a.ambient_dim != b.ambient_dim or a.field != b.field:
-        raise DimensionMismatch("subspace sum: ambient mismatch")
-    red, piv = rref(a.basis.stack(b.basis))
-    return Subspace(a.field, a.ambient_dim, red, piv)
-
-
-def subspace_intersect(a, b):
-    """Intersection, computed from the kernel of the stacked system."""
-    if a.ambient_dim != b.ambient_dim or a.field != b.field:
-        raise DimensionMismatch("subspace intersect: ambient mismatch")
-    f = a.field
-    da, db = a.dim, b.dim
-    if da == 0 or db == 0:
-        return Subspace.zero(f, a.ambient_dim)
-    # columns: coefficients (lam, mu); kernel rows satisfy lam*A = mu*B
-    rows = []
-    for j in range(a.ambient_dim):
-        row = [a.basis.rows[i][j] for i in range(da)]
-        row += [f.neg(b.basis.rows[i][j]) for i in range(db)]
-        rows.append(row)
-    ker = kernel(Matrix.from_rows(f, rows, ncols=da + db))
-    vectors = []
-    for coeffs in ker.basis.rows:
-        vec = [f.zero] * a.ambient_dim
-        for i in range(da):
-            c = coeffs[i]
-            if c:
-                row = a.basis.rows[i]
-                for j in range(a.ambient_dim):
-                    if row[j]:
-                        vec[j] = f.add(vec[j], f.mul(c, row[j]))
-        vectors.append(vec)
-    return Subspace.from_vectors(f, a.ambient_dim, vectors)
-
-
-def homology_dim(a, b):
-    """dim Ker(b) / Im(a) for composable matrices with b after a.
-
-    Raises ContractViolation unless b a = 0.
-    """
-    if a.nrows != b.ncols:
-        raise DimensionMismatch("homology_dim: maps not composable")
-    if not b.mul(a).is_zero():
-        raise ContractViolation("homology_dim: composition b o a is nonzero")
-    return b.ncols - rank(b) - rank(a)

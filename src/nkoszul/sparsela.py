@@ -149,7 +149,7 @@ class Eliminator:
     at any time.  Over GF(p) every stored row has entry 1 at its pivot.
     Over QQ, until finalize(), the stored rows are primitive integer rows
     forming an echelon basis of the rows fed so far; a pivot entry is any
-    nonzero integer, and ``rank`` and ``pivots()`` are already exact.
+    nonzero integer, and ``rank`` and the pivot columns are already exact.
     After finalize() the stored rows are, over every field, the canonical
     RREF in the field's scalar type, each with entry ``field.one`` at its
     pivot.
@@ -208,9 +208,6 @@ class Eliminator:
     def rank(self):
         return len(self.pivot_rows)
 
-    def pivots(self):
-        return sorted(self.pivot_rows)
-
     def finalize(self):
         """Back-substitute to full RREF (idempotent).
 
@@ -268,16 +265,6 @@ class SparseMatrix:
             raise DimensionMismatch("sparse composition shape mismatch")
         out = [self.apply(col) for col in other.cols]
         return SparseMatrix(self.field, self.nrows, other.ncols, out)
-
-    def is_zero(self):
-        return all(not col for col in self.cols)
-
-    def rank(self):
-        elim = Eliminator(self.field)
-        for col in self.cols:
-            if col:
-                elim.add(col)
-        return elim.rank
 
     def __repr__(self):
         return "SparseMatrix(%d x %d over %r)" % (

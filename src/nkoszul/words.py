@@ -35,12 +35,11 @@ def index_word(idx, alphabet_size, length):
 class WordBasis:
     """The basis of n-letter words over a fixed alphabet."""
 
-    __slots__ = ("alphabet_size", "length", "size")
+    __slots__ = ("alphabet_size", "length")
 
     def __init__(self, alphabet_size, length):
         self.alphabet_size = alphabet_size
         self.length = length
-        self.size = alphabet_size ** length
 
     def index(self, word):
         if len(word) != self.length:
@@ -49,10 +48,6 @@ class WordBasis:
 
     def word(self, idx):
         return index_word(idx, self.alphabet_size, self.length)
-
-    def words(self):
-        for i in range(self.size):
-            yield self.word(i)
 
     def label(self, idx, names):
         word = self.word(idx)

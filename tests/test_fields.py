@@ -1,5 +1,7 @@
 """Scalar arithmetic over the rationals and prime fields."""
 
+from fractions import Fraction
+
 import pytest
 
 from nkoszul.fields import GF, QQ, PrimeField, field_from_name, field_name
@@ -11,14 +13,14 @@ def test_rational_basics():
     assert QQ.add(half, third) == QQ.coerce("5/6")
     assert QQ.mul(half, third) == QQ.coerce("1/6")
     assert QQ.sub(half, half) == QQ.zero
-    assert QQ.div(QQ.one, QQ.coerce(4)) == QQ.coerce("1/4")
+    assert QQ.mul(QQ.one, QQ.inv(QQ.coerce(4))) == QQ.coerce("1/4")
     assert QQ.neg(half) == QQ.coerce("-1/2")
     assert QQ.inv(QQ.coerce(-3)) == QQ.coerce("-1/3")
 
 
 def test_rational_exactness():
     # 1/3 summed three times is exactly 1, never 0.999...
-    third = QQ.div(QQ.one, QQ.coerce(3))
+    third = QQ.mul(QQ.one, QQ.inv(QQ.coerce(3)))
     assert QQ.add(QQ.add(third, third), third) == QQ.one
 
 
@@ -30,6 +32,14 @@ def test_prime_field_arithmetic():
     assert F7.neg(2) == 5
     assert F7.coerce(-1) == 6
     assert F7.coerce("2/3") == F7.mul(2, F7.inv(3))
+    assert F7.coerce(Fraction(2, 3)) == F7.mul(2, F7.inv(3))
+
+
+def test_rational_scalars_are_fractions():
+    assert type(QQ.coerce(2)) is Fraction
+    assert type(QQ.coerce("1/3")) is Fraction
+    assert type(QQ.ratio(1, 3)) is Fraction
+    assert QQ.ratio(2, 6) == QQ.coerce("1/3")
 
 
 def test_prime_field_rejects_composite():
@@ -46,6 +56,10 @@ def test_division_by_zero():
         QQ.inv(QQ.zero)
     with pytest.raises(ZeroDivisionError):
         GF(5).inv(0)
+    # a denominator that vanishes mod p has no value in GF(p)
+    for x in ("1/14", Fraction(3, 7)):
+        with pytest.raises(ZeroDivisionError):
+            GF(7).coerce(x)
 
 
 def test_field_names_round_trip():

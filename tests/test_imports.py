@@ -1,10 +1,18 @@
-"""Every imported name in src/, tests/ and demos/ is read somewhere."""
+"""Nothing in the sources is bound and never read.
+
+Every imported name and every local variable in src/, tests/ and demos/
+is read where it is bound, and every function, class and method defined
+in src/ is read somewhere in src/, demos/ or bench/.
+"""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(path for top in ("src", "tests", "demos")
+                 for path in (ROOT / top).rglob("*.py"))
+LIBRARY = ROOT / "src" / "nkoszul"
+READERS = sorted(path for top in ("src", "demos", "bench")
                  for path in (ROOT / top).rglob("*.py"))
 
 
@@ -54,3 +62,141 @@ def test_unused_import_scan_sees_each_form():
               "from __future__ import annotations\nprint(w, a.b)\n")
     assert unused_imports(source) == [(1, "os"), (3, "z")]
     assert unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+def unused_locals(source):
+    """Names a function assigns and never reads, as (line, name).
+
+    Tuple targets count name by name.  A read in a nested function counts
+    (a closure), names declared global or nonlocal are not locals, and
+    names starting with "_" are exempt.
+    """
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        stored = {}
+        todo = list(ast.iter_child_nodes(func))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.AugAssign):
+                read.update(n.id for n in ast.walk(node.target)
+                            if isinstance(n, ast.Name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            # a nested function or class binds its own names
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda, ast.ClassDef)):
+                todo.extend(ast.iter_child_nodes(node))
+        out += [(line, name) for name, line in stored.items()
+                if name not in read and not name.startswith("_")]
+    return sorted(out)
+
+
+def test_no_unused_locals():
+    found = ["%s:%d: %s" % (path.relative_to(ROOT), line, name)
+             for path in SOURCES
+             for line, name in unused_locals(path.read_text())]
+    assert found == []
+
+
+def test_unused_local_scan_sees_each_form():
+    source = ("def f(seq):\n"
+              "    a, (b, c) = seq\n"
+              "    total, _skip = 0, 1\n"
+              "    total += 1\n"
+              "    d = e = 2\n"
+              "    def g():\n"
+              "        h = 3\n"
+              "        return c + d\n"
+              "    return [x for x in seq if (y := x)], g\n")
+    assert unused_locals(source) == [(2, "a"), (2, "b"), (5, "e"),
+                                     (7, "h"), (9, "y")]
+    assert unused_locals("def f():\n    global n\n    n = 1\n") == []
+
+
+def definitions(source):
+    """(line, name, at module level) for each function, class and method.
+
+    Dunder methods are left out: Python itself calls them.
+    """
+    tree = ast.parse(source)
+    top = set(tree.body)
+    return sorted((node.lineno, node.name, node in top)
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__")))
+
+
+def names_read(source):
+    """Every name a module reads, as a variable or as an attribute.
+
+    A string constant that spells an identifier counts too, because
+    getattr reads by string: bench/spans.py names the methods it wraps.
+    """
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and not isinstance(node.ctx, ast.Store)):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
+def unread_definitions(source, read, exported=frozenset()):
+    """(line, name) of each definition in source whose name is not read.
+
+    A module-level name in exported counts as read: the package imports
+    it into its public API.  A method needs a read of its own.
+    """
+    return [(line, name) for line, name, top in definitions(source)
+            if name not in read and not (top and name in exported)]
+
+
+def test_no_dead_definitions():
+    read = set().union(*(names_read(path.read_text()) for path in READERS))
+    init = (LIBRARY / "__init__.py").read_text()
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init).body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    found = ["%s:%d: %s" % (path.relative_to(ROOT), line, name)
+             for path in sorted(LIBRARY.rglob("*.py"))
+             for line, name in unread_definitions(path.read_text(), read,
+                                                  exported)]
+    assert found == []
+
+
+def test_dead_definition_scan_sees_each_form():
+    source = ("class A:\n"
+              "    def __init__(self):\n"
+              "        self.used()\n"
+              "    def used(self):\n"
+              "        return getattr(self, 'named')\n"
+              "    def named(self):\n"
+              "        pass\n"
+              "    def api(self):\n"
+              "        pass\n"
+              "def api():\n"
+              "    def inner():\n"
+              "        pass\n")
+    read = names_read(source)
+    assert unread_definitions(source, read) == [
+        (1, "A"), (8, "api"), (10, "api"), (11, "inner")]
+    # an exported module-level name is read; a method of that name is not
+    assert unread_definitions(source, read, {"A", "api"}) == [
+        (8, "api"), (11, "inner")]
+    assert "used" in names_read("x.used()\n")
+    assert "used" not in names_read("x.used = 1\n")

@@ -19,11 +19,12 @@ from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             koszulity_check, kron_sum_apply, lemma2_check,
                             slice_acyclic, tor_dims, tor_pure_degree,
                             tor_purity, verdict_string)
-from nkoszul.linalg import Matrix, Subspace, rank, subspace_intersect
+from nkoszul.linalg import Matrix, Subspace, rank
 from nkoszul.sampling import (random_algebra, random_isomorphism,
                               rng_from_seed, transported_algebra)
 from nkoszul.sparsela import Eliminator
 from nkoszul.words import block_embed
+from oracles import subspace_intersect
 
 
 def commutator_algebra():
@@ -55,7 +56,8 @@ def test_dual_component_against_intersection():
 def test_dual_component_at_relation_degree():
     A = commutator_algebra()
     assert dual_component(A, 2).space == A.relations
-    assert dual_component(A, 1).space.is_full()
+    space = dual_component(A, 1).space
+    assert space.dim == space.ambient_dim
 
 
 def test_slice_dims_are_products():
@@ -105,7 +107,7 @@ def test_differential_matrix_matches_transposed_apply():
                     assert all(type(v) is Fraction for v in col.values())
                     assert back.get(j, {}) == {i: s * v
                                                for i, v in col.items()}
-                nonzero += not mat.is_zero()
+                nonzero += any(mat.cols)
                 scales.add(s)
     assert nonzero > 20
     assert max(scales) > 12
@@ -322,7 +324,7 @@ def test_contracted_polynomial_is_resolution():
     assert cc.h0_dims() == cc.expected_h0_dims()
     for i in range(1, 4):
         for t in range(6):
-            assert cc.exact_at(i, t)
+            assert cc.homology_dim(i, t) == 0
 
 
 def test_contracted_k_indices():
@@ -439,7 +441,7 @@ def load_definition(name):
 
 def bar_elements(block):
     """(composition, position tuple) of every bar-block basis element."""
-    for comp, (off, dims) in block.offsets.items():
+    for comp, (_off, dims) in block.offsets.items():
         poss = [0] * len(dims)
         while True:
             yield comp, tuple(poss)
