@@ -28,8 +28,9 @@ print()
 # slice of the polynomial algebra is exact (the classical Koszul
 # resolution).
 for n in range(3):
-    report = generalized_homology(koszul_K(ident, n), 1)
-    print("slice %d homology %r" % (n, report.nonzero()))
+    dims = generalized_homology(koszul_K(ident, n), 1)
+    nonzero = {key: dim for key, dim in dims.items() if dim}
+    print("slice %d homology %r" % (n, nonzero))
 print()
 
 # The slices N-1 and N detect isomorphisms: both are acyclic exactly

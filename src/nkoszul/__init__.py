@@ -14,8 +14,8 @@ from .algebra import (GradedElement, Morphism, NHomogeneousAlgebra, bullet,
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
 from .fields import GF, QQ, PrimeField, RationalField, field_from_name
 from .linalg import Matrix, Subspace, kernel, rank, rref
-from .koszul import (ContractedComplex, ConvolutionContext, DualComponent,
-                     GradedMap, HomologyReport, KoszulElement, KoszulVerdict,
+from .koszul import (ContractedComplex, ConvolutionContext, GradedMap,
+                     KoszulElement, KoszulVerdict,
                      LComplexSlice, NComplexSlice, convolution_check,
                      dual_component, generalized_homology, koszul_K,
                      koszul_L, koszulity_check, lemma2_check, slice_acyclic,

@@ -31,16 +31,22 @@ only as integers, scaled by ``lden`` = den_1 * ... * den_n (1 over GF(p),
 where the integers are the field scalars); the Koszul operators read it.
 Its transpose, ``lmul_rows``, is cached beside it: for the dual algebra
 B^! it is the first-letter split of the Koszul dual side (B^!)*.
+
+Products, ``lmul`` and ``_times_word`` push sparse vectors through these
+tables with ``sparsela.apply_cols``; ``sparsela.over_common_denominator``
+turns ``rmul_cols`` into ``int_cols`` and ``den``.  Only ``_build_next``
+keeps sums of its own (see there).
 """
 
 from collections import namedtuple
-from math import lcm
 
 from .errors import ContractViolation, DimensionMismatch
 from .fields import QQ
 from .linalg import (Matrix, Subspace, pivot_rows_to_subspace, rank,
                      subspace_rows)
-from .sparsela import Eliminator, primitive_row, row_axpy, transpose_cols
+from .sparsela import (Eliminator, apply_cols, modulus,
+                       over_common_denominator, primitive_row,
+                       transpose_cols)
 from .words import (annihilator, index_word, interleave_subspace,
                     tensor_subspace)
 
@@ -80,34 +86,6 @@ class GradedComponent:
 
 def _default_names(dim_e):
     return tuple("x%d" % i for i in range(dim_e))
-
-
-def _modulus(field):
-    """p over GF(p), 0 over QQ: the argument ``_settled`` takes."""
-    return field.p if field.kind == "prime" else 0
-
-
-def _settled(vec, p):
-    """An integer row without its zeros, reduced mod p unless p is 0."""
-    if p:
-        return {j: r for j, v in vec.items() if (r := v % p)}
-    return {j: v for j, v in vec.items() if v}
-
-
-def _integer_tables(field, rmul_cols, pivot_rows):
-    """(int_cols, den): rmul_cols as ints over one common denominator.
-
-    Over QQ, den is the lcm of the denominators in the finalized pivot
-    rows, whose negated entries are those of rmul_cols.
-    """
-    if field.kind != "rational":
-        return rmul_cols, 1
-    den = lcm(*{v.denominator for row in pivot_rows.values()
-                for v in row.values()})
-    int_cols = [[{pos: v.numerator * (den // v.denominator)
-                  for pos, v in col.items()} for col in cols_l]
-                for cols_l in rmul_cols]
-    return int_cols, den
 
 
 class NHomogeneousAlgebra:
@@ -213,7 +191,10 @@ class NHomogeneousAlgebra:
                 # classes [u.v'] for every prefix v' of length N-1, all
                 # scaled by the product of the den of the degrees passed;
                 # they may hold zeros (mod p), and are only read, so a
-                # class c * (one basis word) can share its column
+                # class c * (one basis word) can share its column.  This
+                # loop, and the row assembly below, are not apply_cols:
+                # only the fed row is settled, and settling every class
+                # made GF(p) towers about 9 % slower
                 cur = {0: {pu: 1}}
                 for cols_k in tables:
                     nxt = {}
@@ -281,7 +262,7 @@ class NHomogeneousAlgebra:
                                    for c, v in prow.items() if c != col})
             rmul_cols.append(cols_l)
         comp.rmul_cols = rmul_cols
-        comp.int_cols, comp.den = _integer_tables(field, rmul_cols, pivot_rows)
+        comp.int_cols, comp.den = over_common_denominator(field, rmul_cols)
         comp.lden = prev.lden * comp.den
         comp.elim = None
 
@@ -300,7 +281,7 @@ class NHomogeneousAlgebra:
             if n == 1:
                 comp.lmul_cols = [[{j: 1}] for j in range(g)]
             else:
-                p = _modulus(self.field)
+                p = modulus(self.field)
                 prev = self.component(n - 1)
                 prev2 = self.component(n - 2)
                 lm_prev = self.lmul(n - 1)
@@ -312,12 +293,7 @@ class NHomogeneousAlgebra:
                         raise ContractViolation("normal words not prefix-closed")
                     rm = comp.int_cols[letter]
                     for j in range(g):
-                        vec = {}
-                        get = vec.get
-                        for src, c in lm_prev[j][pos_upre].items():
-                            for t, v in rm[src].items():
-                                vec[t] = get(t, 0) + c * v
-                        out[j][pos_u] = _settled(vec, p)
+                        out[j][pos_u] = apply_cols(p, rm, lm_prev[j][pos_upre])
                 comp.lmul_cols = out
         return comp.lmul_cols
 
@@ -337,13 +313,9 @@ class NHomogeneousAlgebra:
 
     def _times_word(self, vec, m, word):
         """Class of vec * word, for a sparse degree-m vec and a letter tuple."""
-        field = self.field
+        p = modulus(self.field)
         for deg, letter in enumerate(word, start=m + 1):
-            cols = self.component(deg).rmul_cols[letter]
-            new = {}
-            for src, c in vec.items():
-                row_axpy(field, new, c, cols[src])
-            vec = new
+            vec = apply_cols(p, self.component(deg).rmul_cols[letter], vec)
         return vec
 
     def word_class(self, word):
@@ -363,14 +335,14 @@ class NHomogeneousAlgebra:
 
     def vector_product(self, m, vec_a, k, vec_b):
         """Product in A_{m+k} of sparse vectors of degrees m and k."""
-        field = self.field
-        mul = field.mul
-        out = {}
+        product = self.basis_product
+        cols, weights = {}, {}
         for pos_b, cb in vec_b.items():
             for pos_a, ca in vec_a.items():
-                row_axpy(field, out, mul(ca, cb),
-                         self.basis_product(m, pos_a, k, pos_b))
-        return out
+                key = (pos_a, pos_b)
+                cols[key] = product(m, pos_a, k, pos_b)
+                weights[key] = ca * cb
+        return apply_cols(modulus(self.field), cols, weights)
 
     # -- elements -------------------------------------------------------
 

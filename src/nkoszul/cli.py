@@ -185,12 +185,12 @@ def _run(args):
             sl = koszul_K(ident, n)
             for p in ps:
                 h = generalized_homology(sl, p)
-                dims = [h.entries[(p, sl.positions[k].label)]
+                dims = [h[(p, sl.positions[k].label)]
                         for k in range(n + 1)]
                 report.add("homology n=%d p=%d" % (n, p), dims)
     elif cmdname == "contracted":
         p = args.p if args.p is not None else A.N - 1
-        cc = ContractedComplex(A, p, args.r, nmax)
+        cc = ContractedComplex(A, p, args.r)
         report.add("p", p)
         report.add("r", args.r)
         report.add("nmax", nmax)

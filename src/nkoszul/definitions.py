@@ -224,19 +224,17 @@ def serialize_definition(definition):
     return "\n".join(lines) + "\n"
 
 
-def definition_from_algebra(algebra, generators=None, field_spec=None):
+def definition_from_algebra(algebra):
     """Express an algebra as a definition (canonical relation rows)."""
-    if generators is None:
-        generators = [n.replace("'", "_d") for n in algebra.gen_names]
-        if (len(set(generators)) != len(generators)
-                or not all(_NAME.match(n) for n in generators)):
-            generators = ["g%d" % i for i in range(algebra.dim_e)]
-    if field_spec is None:
-        field_spec = field_name(algebra.field)
+    generators = [n.replace("'", "_d") for n in algebra.gen_names]
+    if (len(set(generators)) != len(generators)
+            or not all(_NAME.match(n) for n in generators)):
+        generators = ["g%d" % i for i in range(algebra.dim_e)]
     g = algebra.dim_e
     relations = []
     for row in algebra.relations.basis.rows:
         terms = [(c, index_word(j, g, algebra.N))
                  for j, c in enumerate(row) if c]
         relations.append(terms)
-    return AlgebraDefinition(field_spec, generators, algebra.N, relations)
+    return AlgebraDefinition(field_name(algebra.field), generators, algebra.N,
+                             relations)

@@ -11,11 +11,14 @@ sum_l X_l (x) Y_l: an action on C tensored with a first-letter split (or
 its transpose) on the dual side.  ``kron_sum_apply`` is the one routine
 that applies such a sum; its transpose is sum_l X_l^T (x) Y_l^T.  It
 knows no field: it multiplies and adds the scalars it is given and
-settles the sums once, mod p over GF(p).
+settles the sums once, mod p over GF(p).  Every other sparse sum here --
+the twisted factors of K(f) and L(f) and the convolution product -- is
+``sparsela.apply_cols``.
 
 The factors of the K and L maps are integer tables: ``int_cols`` and the
 integer ``lmul`` of the algebras, and for a morphism other than the
-identity its matrix cleared of denominators.  So over QQ the map out of
+identity its matrix, cleared of denominators by
+``sparsela.over_common_denominator``.  So over QQ the map out of
 position k is applied as s_k times the exact one, for a positive integer
 scale s_k (1 over GF(p)).  Ranks and zero tests do not see the scale;
 ``differential`` divides it out.
@@ -36,15 +39,13 @@ every other rank, for L and for K(f) with f not the identity.
 """
 
 from collections import namedtuple
-from math import lcm
 
-from .algebra import GradedElement, Morphism, _modulus, _settled, circ
+from .algebra import GradedElement, Morphism, circ
 from .errors import ContractViolation, DimensionMismatch
-from .linalg import pivot_rows_to_subspace
-from .sparsela import Eliminator, SparseMatrix, row_axpy, transpose_cols
+from .linalg import Matrix, pivot_rows_to_subspace
+from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
+                       over_common_denominator, settled, transpose_cols)
 from .words import index_word
-
-DualComponent = namedtuple("DualComponent", ["m", "space"])
 
 PositionInfo = namedtuple("PositionInfo",
                           ["label", "c_degree", "w_degree", "dim",
@@ -58,7 +59,9 @@ def kron_sum_apply(p, xs, ys, y_src, y_tgt, vec):
     coordinates are x * y_src + y, target coordinates x' * y_tgt + y'.
     The scalars (ints, or Fractions over QQ) are multiplied and summed
     as they are; the sums are reduced mod p unless p is 0, and zeros
-    dropped, once at the end.
+    dropped, once at the end.  It is not ``apply_cols``: each source
+    entry fans out through a product of two columns, and settling once
+    per call keeps the mod p out of that double loop.
     """
     factors = tuple(zip(xs, ys))
     out = {}
@@ -78,7 +81,7 @@ def kron_sum_apply(p, xs, ys, y_src, y_tgt, vec):
                 for ty, cy in ycol.items():
                     tix = base + ty
                     out[tix] = get(tix, 0) + cxo * cy
-    return _settled(out, p)
+    return settled(out, p)
 
 
 def dual_component(algebra, m):
@@ -97,32 +100,13 @@ def dual_component(algebra, m):
     for row in rows:
         elim.add(row)
     elim.finalize()
-    return DualComponent(m, pivot_rows_to_subspace(field, ambient,
-                                                   elim.pivot_rows))
+    return pivot_rows_to_subspace(field, ambient, elim.pivot_rows)
 
 
-def _integer_matrix(field, matrix):
-    """(rows, scale): a dense field matrix as ints, scale times the matrix.
-
-    Over QQ the scale is the lcm of the entries' denominators; over GF(p)
-    the rows are the matrix's own and the scale is 1.
-    """
-    if field.kind != "rational":
-        return matrix.rows, 1
-    scale = lcm(*(v.denominator for row in matrix.rows for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row]
-            for row in matrix.rows], scale
-
-
-def _is_identity_matrix(matrix):
-    if matrix.nrows != matrix.ncols:
-        return False
-    one = matrix.field.one
-    for i, row in enumerate(matrix.rows):
-        for j, v in enumerate(row):
-            if (v != one) if i == j else bool(v):
-                return False
-    return True
+def _matrix_cols(matrix):
+    """A dense matrix as sparse columns {row: nonzero entry}."""
+    return [{j: row[a] for j, row in enumerate(matrix.rows) if row[a]}
+            for a in range(matrix.ncols)]
 
 
 class _KoszulSlice:
@@ -142,9 +126,10 @@ class _KoszulSlice:
         self.field = self.source.field
         self.N = self.source.N
         self.bang = self.source.dual()
-        self._p = _modulus(self.field)
+        self._p = modulus(self.field)
         self._identity = (self.source is self.target
-                          and _is_identity_matrix(morphism.matrix))
+                          and morphism.matrix == Matrix.identity(
+                              self.field, self.source.dim_e))
         self._twists = {}
         self._ops = {}
         self._ops_t = {}
@@ -175,22 +160,13 @@ class _KoszulSlice:
             else:
                 cols, scale = target.lmul(degree), comp.lden
             if not self._identity:
-                fmat, fscale = _integer_matrix(self.field,
-                                               self.morphism.matrix)
-                base, p = cols, self._p
-                cols = []
-                for letter in range(self.source.dim_e):
-                    col_l = []
-                    for src in range(target.dim(degree - 1)):
-                        vec = {}
-                        get = vec.get
-                        for j in range(target.dim_e):
-                            c = fmat[j][letter]
-                            if c:
-                                for t, v in base[j][src].items():
-                                    vec[t] = get(t, 0) + c * v
-                        col_l.append(_settled(vec, p))
-                    cols.append(col_l)
+                # f(x_letter) = sum_j c_j x_j, so its column at src is
+                # sum_j c_j * cols[j][src]
+                (fcols,), fscale = over_common_denominator(
+                    self.field, [_matrix_cols(self.morphism.matrix)])
+                by_src = list(zip(*cols))
+                cols = [[apply_cols(self._p, at_src, fcol)
+                         for at_src in by_src] for fcol in fcols]
                 scale *= fscale
             hit = self._twists[key] = (cols, scale)
         return hit
@@ -452,29 +428,11 @@ def koszul_L(morphism, max_degree):
     return family
 
 
-class HomologyReport:
-    """Generalized homology dimensions, keyed by (p, position label)."""
-
-    def __init__(self, entries):
-        self.entries = dict(entries)
-
-    def is_zero(self):
-        return all(v == 0 for v in self.entries.values())
-
-    def nonzero(self):
-        return {key: v for key, v in self.entries.items() if v}
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    def __repr__(self):
-        return "HomologyReport(%r)" % (self.entries,)
-
-
 def generalized_homology(slice_, p):
     """dim Ker(d^p)/Im(d^{N-p}) at every position of a slice.
 
-    Maps beyond either end of the slice are zero.
+    Returns {(p, position label): dim}.  Maps beyond either end of the
+    slice are zero.
     """
     N = slice_.N
     if not 1 <= p <= N - 1:
@@ -489,13 +447,13 @@ def generalized_homology(slice_, p):
         k_in = k - (N - p)
         rank_in = slice_.rank_power(k_in, N - p) if k_in >= 0 else 0
         entries[(p, info.label)] = info.dim - rank_out - rank_in
-    return HomologyReport(entries)
+    return entries
 
 
 def slice_acyclic(slice_):
     """All generalized homologies vanish at all positions."""
-    return all(generalized_homology(slice_, p).is_zero()
-               for p in range(1, slice_.N))
+    return not any(any(generalized_homology(slice_, p).values())
+                   for p in range(1, slice_.N))
 
 
 def lemma2_check(morphism):
@@ -512,11 +470,10 @@ class ContractedComplex:
     k(2j) = jN + r and k(2j+1) = (j+1)N - p + r; the map into an odd
     degree is d^p, into an even degree d^{N-p}.  Every homological degree
     i is available; each total degree t is one K(id) slice, built on first
-    use.  n_max (default 2N + 2) is only the default window of ``h0_dims``
-    and ``expected_h0_dims``.
+    use.
     """
 
-    def __init__(self, algebra, p, r, n_max=None):
+    def __init__(self, algebra, p, r):
         N = algebra.N
         if not 0 <= r <= N - 2 or not r + 1 <= p <= N - 1:
             raise DimensionMismatch(
@@ -525,7 +482,6 @@ class ContractedComplex:
         self.algebra = algebra
         self.p = p
         self.r = r
-        self.n_max = 2 * N + 2 if n_max is None else n_max
         self._slices = {}
         self._id = Morphism.identity(algebra)
 
@@ -564,14 +520,12 @@ class ContractedComplex:
         return (self.block_dim(i, t) - self.rank_map(i, t)
                 - self.rank_map(i + 1, t))
 
-    def h0_dims(self, t_max=None):
-        t_max = self.n_max if t_max is None else t_max
+    def h0_dims(self, t_max):
         return [self.block_dim(0, t) - self.rank_map(1, t)
                 for t in range(t_max + 1)]
 
-    def expected_h0_dims(self, t_max=None):
+    def expected_h0_dims(self, t_max):
         """Graded dims of sum_{0<=j<=N-p-1} E^(x)j (x) E^(x)r."""
-        t_max = self.n_max if t_max is None else t_max
         g, N = self.algebra.dim_e, self.algebra.N
         out = []
         for t in range(t_max + 1):
@@ -595,7 +549,7 @@ def koszulity_check(algebra, n_max):
     N = algebra.N
     if n_max < N:
         raise DimensionMismatch("n_max must be at least N")
-    cx = ContractedComplex(algebra, N - 1, 0, n_max)
+    cx = ContractedComplex(algebra, N - 1, 0)
     for t in range(n_max + 1):
         i = 1
         while cx.k_index(i) <= t:
@@ -820,9 +774,7 @@ class GradedMap:
 
     @classmethod
     def from_morphism(cls, morphism):
-        mat = morphism.matrix
-        return cls({1: [{j: row[a] for j, row in enumerate(mat.rows) if row[a]}
-                        for a in range(mat.ncols)]})
+        return cls({1: _matrix_cols(morphism.matrix)})
 
 
 def _block_offsets(target, bang, t):
@@ -849,13 +801,16 @@ class ConvolutionContext:
         trailing one with alpha; with that orientation the induced
         operators compose as d_alpha o d_beta = d_{alpha * beta}.
         """
-        field = self.field
+        p = modulus(self.field)
         out = {}
         for m in range(m_max + 1):
             wm = self.bang.dim(m)
             if wm == 0:
                 continue
-            cols = [dict() for _ in range(wm)]
+            # cols[u] = sum over (k, a, b) of coproduct coefficient u of
+            # a*b times beta_k(a-hat) * alpha_l(b-hat)
+            products = {}
+            weights = [{} for _ in range(wm)]
             for k in range(m + 1):
                 l = m - k
                 acols = beta.component(k)
@@ -876,9 +831,11 @@ class ConvolutionContext:
                         cprod = self.target.vector_product(k, va, l, vb)
                         if not cprod:
                             continue
+                        key = (k, a, b)
+                        products[key] = cprod
                         for u, du in pv.items():
-                            row_axpy(field, cols[u], du, cprod)
-            out[m] = cols
+                            weights[u][key] = du
+            out[m] = [apply_cols(p, products, w) for w in weights]
         return GradedMap(out)
 
     def convolution_power(self, alpha, e, m_max):
@@ -897,7 +854,7 @@ class ConvolutionContext:
         multiplication by a on B^!.
         """
         field, one = self.field, self.field.one
-        p = _modulus(field)
+        p = modulus(field)
         offsets = _block_offsets(self.target, self.bang, t)
         cols = [dict() for _ in range(offsets[-1])]
         for m in range(t + 1):

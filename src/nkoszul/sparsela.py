@@ -16,6 +16,11 @@ and loses its content once more at the end of the pass.  Only
 ``Eliminator.finalize`` turns the stored rows back into field scalars,
 after back-substituting in one pass per row, from the largest pivot
 down, with the same clearing step.
+
+``apply_cols`` is the package's one sparse accumulate: a sparse vector
+pushed through sparse columns, with one branch per field like the
+clearing step.  ``over_common_denominator`` turns QQ tables of sparse
+columns into integer tables over one denominator.
 """
 
 from heapq import heapify, heappop, heappush
@@ -24,19 +29,67 @@ from math import gcd, lcm
 from .errors import ContractViolation, DimensionMismatch
 
 
-def row_axpy(field, target, c, source):
-    """target += c * source, in place, dropping entries that cancel."""
-    add, mul = field.add, field.mul
-    for j, v in source.items():
-        cur = target.get(j)
-        if cur is None:
-            target[j] = mul(c, v)
-        else:
-            s = add(cur, mul(c, v))
-            if s:
-                target[j] = s
-            else:
-                del target[j]
+def modulus(field):
+    """p over GF(p), 0 over QQ: what ``settled`` and ``apply_cols`` take."""
+    return field.p if field.kind == "prime" else 0
+
+
+def settled(vec, p):
+    """An integer row without its zeros, reduced mod p unless p is 0."""
+    if p:
+        return {j: r for j, v in vec.items() if (r := v % p)}
+    return {j: v for j, v in vec.items() if v}
+
+
+def apply_cols(p, cols, vec):
+    """Sum of c * cols[src] over the entries src: c of vec, as a new dict.
+
+    p is ``modulus(field)``.  Over GF(p) every sum is reduced mod p as it
+    is formed, so the scalars given need not be.  Over QQ (p = 0) the
+    scalars, ints or Fractions, are added as given; vec and the columns
+    hold no zeros there.  Entries that cancel are dropped, and neither
+    vec nor the columns are changed.
+    """
+    out = {}
+    get = out.get
+    if p:
+        for src, c in vec.items():
+            for j, v in cols[src].items():
+                s = (get(j, 0) + c * v) % p
+                if s:
+                    out[j] = s
+                elif j in out:
+                    del out[j]
+    else:
+        for src, c in vec.items():
+            for j, v in cols[src].items():
+                cur = get(j)
+                if cur is None:
+                    out[j] = c * v
+                else:
+                    s = cur + c * v
+                    if s:
+                        out[j] = s
+                    else:
+                        del out[j]
+    return out
+
+
+def over_common_denominator(field, tables):
+    """(int_tables, den): tables of sparse columns as ints over one denominator.
+
+    tables is a list of tables, each a list of sparse columns.  Over QQ,
+    den is the lcm of the denominators of all their entries and
+    int_tables[l][s] is den times tables[l][s]; over GF(p) the tables are
+    returned as they are, with den 1.
+    """
+    if field.kind != "rational":
+        return tables, 1
+    den = lcm(*{v.denominator for table in tables for col in table
+                for v in col.values()})
+    return [[{j: v.numerator * (den // v.denominator)
+              for j, v in col.items()} for col in table]
+            for table in tables], den
 
 
 def transpose_cols(cols, tgt_dim):
@@ -82,7 +135,8 @@ def int_eliminate(row, j, prow, pivot_rows, heap):
     Here c = row[j] and p = prow[j]; both rows hold integers.  The
     combination is negated when p < 0, so row's multiplier is positive.
     Every column the step creates that is a key of pivot_rows is pushed
-    onto heap.
+    onto heap.  It is not ``apply_cols``: it works on row in place, scales
+    it, and must see each column the step creates.
     """
     c, p = row[j], prow[j]
     g = gcd(c, p)
@@ -252,12 +306,7 @@ class SparseMatrix:
 
     def apply(self, vec):
         """Apply to a sparse vector dict, returning a new dict."""
-        field = self.field
-        out = {}
-        cols = self.cols
-        for j, c in vec.items():
-            row_axpy(field, out, c, cols[j])
-        return out
+        return apply_cols(modulus(self.field), self.cols, vec)
 
     def compose(self, other):
         """self after other (matrix product, column by column)."""

@@ -31,3 +31,22 @@ def subspace_intersect(a, b):
                         vec[j] = f.add(vec[j], f.mul(c, row[j]))
         vectors.append(vec)
     return Subspace.from_vectors(f, a.ambient_dim, vectors)
+
+
+def row_axpy(field, target, c, source):
+    """target += c * source, in place, with the field's own add and mul.
+
+    An entry that cancels is dropped; a product that is zero on its own
+    (mod p) is kept as 0.
+    """
+    add, mul = field.add, field.mul
+    for j, v in source.items():
+        cur = target.get(j)
+        if cur is None:
+            target[j] = mul(c, v)
+        else:
+            s = add(cur, mul(c, v))
+            if s:
+                target[j] = s
+            else:
+                del target[j]

@@ -14,8 +14,9 @@ from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.linalg import Matrix, Subspace
 from nkoszul.sampling import random_algebra, random_subspace, rng_from_seed
-from nkoszul.sparsela import Eliminator, primitive_row, row_axpy
+from nkoszul.sparsela import Eliminator, primitive_row
 from nkoszul.words import index_word
+from oracles import row_axpy
 
 
 def commutator_algebra():

@@ -1,6 +1,7 @@
 """Definition files and the command-line tool."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -263,3 +264,21 @@ def test_cli_main_repeated_in_one_process(defs, capsys):
         fresh = run_cli(args, [path])
         assert fresh.returncode == 0
         assert fresh.stdout == out
+
+
+def test_cli_timing_appends_only_timing_ms(defs, capsys):
+    from nkoszul import cli
+    args = ["homology", "--nmax", "4", str(defs["wedge3"])]
+    assert cli.main(args) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(args + ["--timing"]) == 0
+    timed = capsys.readouterr().out
+    assert timed.startswith(plain)
+    assert re.fullmatch(r"timing_ms: \d+\n", timed[len(plain):])
+    assert cli.main(args + ["--json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert cli.main(args + ["--json", "--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    ms = timed.pop("timing_ms")
+    assert type(ms) is int and ms >= 0
+    assert timed == plain

@@ -1,5 +1,5 @@
 """Sparse elimination, and linalg.rref built on it, against a dense
-Gauss-Jordan oracle."""
+Gauss-Jordan oracle; the sparse accumulate apply_cols against row_axpy."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -13,7 +13,9 @@ from nkoszul.fields import GF, QQ
 from nkoszul.linalg import Matrix, rref
 from nkoszul.reduction import _descending_rref
 from nkoszul.sampling import random_subspace, rng_from_seed
-from nkoszul.sparsela import Eliminator
+from nkoszul.sparsela import (Eliminator, apply_cols, modulus,
+                              over_common_denominator)
+from oracles import row_axpy
 
 SCALARS = st.one_of(
     st.integers(-6, 6),
@@ -409,3 +411,83 @@ def test_add_reports_pivot_or_none():
     elim.finalize()
     assert elim.pivot_rows == {0: {0: QQ.one, 3: QQ.coerce(9)},
                                1: {1: QQ.one, 3: QQ.coerce(6)}}
+
+
+# -- apply_cols against the field-method oracle ------------------------------
+
+QQ_ENTRIES = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                       st.integers(1, 4))
+# unreduced weights and entries, some of them 0 mod 7
+GF7_ENTRIES = st.one_of(st.integers(-30, 30), st.sampled_from([7, -14, 21]))
+GF7_UNITS = st.integers(-30, 30).filter(lambda c: c % 7)
+
+
+@st.composite
+def column_sums(draw, entries, units, inverse):
+    """(cols, vec): sparse columns and a sparse vector over their indices.
+
+    One more column, when drawn, cancels the contribution of another in
+    full, so some sums cancel whatever the other entries are.
+    """
+    nsrc = draw(st.integers(1, 5))
+    col = st.dictionaries(st.integers(0, 6), entries, max_size=5)
+    cols = draw(st.lists(col, min_size=nsrc, max_size=nsrc))
+    vec = draw(st.dictionaries(st.integers(0, nsrc - 1), entries))
+    if vec and draw(st.booleans()):
+        src = draw(st.sampled_from(sorted(vec)))
+        c = draw(units)
+        cols.append({j: -vec[src] * v * inverse(c)
+                     for j, v in cols[src].items()})
+        vec[len(cols) - 1] = c
+    return cols, vec
+
+
+def check_apply_cols(field, cols, vec):
+    before = ([dict(col) for col in cols], dict(vec))
+    got = apply_cols(modulus(field), cols, vec)
+    assert ([dict(col) for col in cols], dict(vec)) == before
+    want = {}
+    for src, c in vec.items():
+        row_axpy(field, want, c, cols[src])
+    # row_axpy keeps a first product that is 0 mod p; apply_cols drops it
+    assert got == {j: v for j, v in want.items() if v}
+    return got
+
+
+@given(column_sums(QQ_ENTRIES, QQ_ENTRIES, lambda c: 1 / c))
+@example(([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(-1, 4)}],
+          {0: Fraction(1), 1: Fraction(2)}))
+def test_apply_cols_matches_row_axpy_over_qq(case):
+    cols, vec = case
+    got = check_apply_cols(QQ, cols, vec)
+    assert all(type(v) is Fraction for v in got.values())
+
+
+@given(column_sums(GF7_ENTRIES, GF7_UNITS, lambda c: pow(c, -1, 7)))
+@example(([{0: 3, 1: 7}, {0: 2, 2: -14}], {0: 3, 1: 6}))
+def test_apply_cols_matches_row_axpy_over_gf7(case):
+    cols, vec = case
+    got = check_apply_cols(GF7, cols, vec)
+    assert all(0 < v < 7 for v in got.values())
+
+
+def test_over_common_denominator_keeps_prime_field_tables():
+    tables = [[{0: 3}, {}], [{1: 6}]]
+    out, den = over_common_denominator(GF7, tables)
+    assert out is tables and den == 1
+
+
+def test_over_common_denominator_on_integer_tables():
+    out, den = over_common_denominator(
+        QQ, [[{0: QQ.coerce(3)}, {}], [{1: QQ.coerce(-2)}]])
+    assert den == 1
+    assert out == [[{0: 3}, {}], [{1: -2}]]
+    assert all(type(v) is int for table in out for col in table
+               for v in col.values())
+
+
+def test_over_common_denominator_takes_the_lcm():
+    tables = [[{0: Fraction(1, 2), 2: Fraction(-5, 3)}], [{1: Fraction(7, 4)}]]
+    out, den = over_common_denominator(QQ, tables)
+    assert den == 12
+    assert out == [[{0: 6, 2: -20}], [{1: 21}]]
