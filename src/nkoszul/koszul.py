@@ -663,14 +663,21 @@ def tor_dims(algebra, i_max, n_max):
 
     Returns {(i, t): dim} for 0 <= i <= i_max, 0 <= t <= n_max.
 
-    Each degree t is ranked from the top level i_max + 1 down to 1, with
-    clearing (Chen-Kerber 2011): the pivot columns of level i + 1 are
-    neither built into d_i nor fed.  That is exact over every field and
-    in any feed order.  A row v stored by the eliminator of d_{i+1} lies
-    in im d_{i+1}, and its pivot j is its smallest index.  Since
-    d_i(v) = 0, column j of d_i is a combination of columns with larger
-    index, so by descending induction on j the columns kept span what
-    all the columns span.
+    The ranks of d_1, d_2 and d_3 are read off the presentation; no bar
+    matrix is built for them.  d_1 is zero.  For t >= 2, d_2 is onto A_t,
+    since A is generated in degree 1, so rank d_2 = dim A_t.  Tor_2 is
+    the space of minimal relations: R in degree N and 0 elsewhere, since
+    the ideal (R) has nothing below degree N (Berger 2001).  So rank d_3
+    = dim (A_+)^(x)2 - dim A_t - [t = N] dim R in degree t >= 2.
+
+    Each degree t ranks the levels i_max + 1 down to 4 with clearing
+    (Chen-Kerber 2011): the pivot columns of level i + 1 are neither
+    built into d_i nor fed.  That is exact over every field and in any
+    feed order.  A row v stored by the eliminator of d_{i+1} lies in
+    im d_{i+1}, and its pivot j is its smallest index.  Since d_i(v) = 0,
+    column j of d_i is a combination of columns with larger index, so by
+    descending induction on j the columns kept span what all the columns
+    span.
 
     The feed order decides what the skip saves.  The columns follow
     _compositions' ascending layout and are fed last column first: that
@@ -689,8 +696,14 @@ def tor_dims(algebra, i_max, n_max):
             blocks[(i, t)] = _BarBlock(algebra, i, t)
     ranks = {}
     for t in range(n_max + 1):
+        if t >= 2 and i_max >= 1:
+            # rank d_2 and rank d_3 from the presentation, as above
+            ranks[(2, t)] = algebra.dim(t)
+            ranks[(3, t)] = (blocks[(2, t)].dim - ranks[(2, t)]
+                             - (algebra.relations.dim if t == algebra.N
+                                else 0))
         cleared = set()
-        for i in range(i_max + 1, 0, -1):
+        for i in range(i_max + 1, 3, -1):
             if blocks[(i, t)].dim == 0 or blocks[(i - 1, t)].dim == 0:
                 ranks[(i, t)], cleared = 0, set()
                 continue

@@ -574,7 +574,8 @@ def tor_sweep_algebras():
 
 def test_tor_dims_matches_reference_without_clearing(monkeypatch):
     # Clearing must skip only columns that reduce to zero, so the rows
-    # the eliminators of tor_dims store are those of the full feed.
+    # the eliminators of tor_dims store are those of the full feed at
+    # the levels it eliminates, 4 and up.
     made = []
 
     class RecordingEliminator(Eliminator):
@@ -588,8 +589,47 @@ def test_tor_dims_matches_reference_without_clearing(monkeypatch):
         made.clear()
         assert tor_dims(A, i_max, n_max) == want, (A, i_max, n_max)
         got_rows = sorted(stored_rows(e) for e in made if e.rank)
-        want_rows = sorted(stored_rows(e) for e in elims.values() if e.rank)
+        want_rows = sorted(stored_rows(e) for (i, _t), e in elims.items()
+                           if i >= 4 and e.rank)
         assert got_rows == want_rows, (A, i_max, n_max)
+
+
+DEPENDENT_MOD_7 = """\
+generators x y
+degree 3
+relation x.x.y - y.y.x
+relation 8*x.x.y - y.y.x + 7*x.y.x
+"""
+
+
+def closed_form_ranks(algebra, t):
+    """rank d_2 and rank d_3 of the bar complex in degree t >= 2."""
+    tor2 = algebra.relations.dim if t == algebra.N else 0
+    return (algebra.dim(t),
+            _BarBlock(algebra, 2, t).dim - algebra.dim(t) - tor2)
+
+
+def test_tor_dims_closed_forms_match_reference():
+    # the two relations of DEPENDENT_MOD_7 are independent over QQ and
+    # equal mod 7, so Tor_2 in degree 3 drops from 2 to 1
+    dependent = [parse_definition(DEPENDENT_MOD_7, field_override=name)
+                 .to_algebra() for name in ("rational", "gf:7")]
+    assert [A.relations.dim for A in dependent] == [2, 1]
+    algebras = bar_oracle_algebras() + dependent + [
+        free_algebra(2, 3), full_relations_algebra(2, 3),
+        symmetric_algebra(2)]
+    n_max = 6
+    for A in algebras:
+        # i_max <= 2 leaves no level >= 4 to eliminate
+        for i_max in range(4):
+            want, elims = reference_tor_dims(A, i_max, n_max)
+            assert tor_dims(A, i_max, n_max) == want, (A, i_max)
+            for t in range(2, n_max + 1):
+                for i, rank in zip((2, 3), closed_form_ranks(A, t)):
+                    if (i, t) in elims:
+                        assert elims[(i, t)].rank == rank, (A, i, t)
+    for A in dependent:
+        assert tor_dims(A, 2, n_max)[(2, 3)] == A.relations.dim
 
 
 def test_pivots_of_the_level_above_reduce_to_zero():
