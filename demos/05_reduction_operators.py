@@ -44,7 +44,7 @@ zero = Subspace.zero(QQ, 4)
 print("R = 0        :", lemma3_check(zero, 1, 2))
 print("R = all words:", lemma3_check(full, 1, 2))
 print("R = span(x.y):", lemma3_check(
-    Subspace.from_vectors(QQ, 4, [[0, 1, 0, 0]]), 1, 2))
+    Subspace.from_vectors(QQ, 4, [{1: 1}]), 1, 2))
 print()
 
 closure = monomial_rotation_closure([(0, 1)], 1, 2)

@@ -7,22 +7,21 @@ normalized bar complex, and reduction operators on relation subspaces.
 """
 
 from .algebra import (GradedElement, Morphism, NHomogeneousAlgebra, bullet,
-                      circ, component_relations, dual, end_algebra,
-                      free_algebra, full_relations_algebra, hilbert_dims,
-                      hom_algebra, is_morphism, prop1_check,
-                      symmetric_algebra, veronese_dims)
+                      circ, dual, end_algebra, free_algebra,
+                      full_relations_algebra, hilbert_dims, hom_algebra,
+                      is_morphism, prop1_check, symmetric_algebra,
+                      veronese_dims)
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
 from .fields import GF, QQ, PrimeField, RationalField, field_from_name
 from .linalg import Matrix, Subspace, kernel, rank, rref
 from .koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                      KoszulElement, KoszulVerdict,
                      LComplexSlice, NComplexSlice, convolution_check,
-                     dual_component, generalized_homology, koszul_K,
-                     koszul_L, koszulity_check, lemma2_check, slice_acyclic,
+                     generalized_homology, koszul_K, koszul_L,
+                     koszulity_check, lemma2_check, slice_acyclic,
                      tor_dims, tor_pure_degree, tor_purity, verdict_string)
 from .words import (WordBasis, annihilator, block_embed, index_word,
-                    interleave_subspace, shuffle_map, tensor_subspace,
-                    word_index)
+                    interleave_subspace, tensor_subspace, word_index)
 from .definitions import (AlgebraDefinition, definition_from_algebra,
                           parse_definition, serialize_definition)
 from .reduction import (Lemma3Result, ReductionOperator, lemma3_check,

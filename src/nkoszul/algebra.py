@@ -42,10 +42,9 @@ from collections import namedtuple
 
 from .errors import ContractViolation, DimensionMismatch
 from .fields import QQ
-from .linalg import (Matrix, Subspace, pivot_rows_to_subspace, rank,
-                     subspace_rows)
+from .linalg import Matrix, Subspace, rank
 from .sparsela import (Eliminator, apply_cols, modulus,
-                       over_common_denominator, primitive_row,
+                       over_common_denominator, primitive_row, settled,
                        transpose_cols)
 from .words import (annihilator, index_word, interleave_subspace,
                     tensor_subspace)
@@ -111,7 +110,6 @@ class NHomogeneousAlgebra:
         unit = GradedComponent(0, (0,), None)
         unit.den = unit.lden = 1
         self._components = [unit]
-        self._relation_rows = None
         self._int_relation_rows = None
         self._dual = None
         self._products = {}
@@ -134,15 +132,10 @@ class NHomogeneousAlgebra:
 
     # -- graded engine -------------------------------------------------
 
-    def relation_rows(self):
-        if self._relation_rows is None:
-            self._relation_rows = subspace_rows(self.relations)
-        return self._relation_rows
-
     def int_relation_rows(self):
         """Relation rows as ints: primitive rows over QQ, as stored over GF(p)."""
         if self._int_relation_rows is None:
-            rows = self.relation_rows()
+            rows = self.relations.rows
             if self.field.kind == "rational":
                 rows = [primitive_row(row) for row in rows]
             self._int_relation_rows = rows
@@ -318,10 +311,6 @@ class NHomogeneousAlgebra:
             vec = apply_cols(p, self.component(deg).rmul_cols[letter], vec)
         return vec
 
-    def word_class(self, word):
-        """Class of the basis word (tuple of letters) as a sparse dict."""
-        return self._times_word({0: self.field.one}, 0, word)
-
     def basis_product(self, m, pos_a, k, pos_b):
         """Memoized product of basis classes pos_a of A_m and pos_b of A_k."""
         key = (m, pos_a, k, pos_b)
@@ -374,31 +363,6 @@ class NHomogeneousAlgebra:
         return self._dual
 
 
-def component_relations(algebra, n):
-    """The degree-n relation space sum_{r+s=n-N} E^r (x) R (x) E^s.
-
-    Materialized as a canonical dense subspace; meant for desk-scale
-    degrees (the graded engine never calls this).
-    """
-    g, N, field = algebra.dim_e, algebra.N, algebra.field
-    ambient = g ** n
-    if n < N or algebra.relations.dim == 0:
-        return Subspace.zero(field, ambient)
-    rel_rows = algebra.relation_rows()
-    elim = Eliminator(field)
-    for r in range(n - N + 1):
-        s = n - N - r
-        right = g ** s
-        tail = g ** (N + s)
-        for u in range(g ** r):
-            base = u * tail
-            for rel in rel_rows:
-                for w in range(right):
-                    elim.add({base + v * right + w: c for v, c in rel.items()})
-    elim.finalize()
-    return pivot_rows_to_subspace(field, ambient, elim.pivot_rows)
-
-
 def hilbert_dims(algebra, n_max):
     return algebra.hilbert_dims(n_max)
 
@@ -434,8 +398,7 @@ def circ(a, b):
     ga, gb = a.dim_e, b.dim_e
     ra = tensor_subspace(a.relations, Subspace.full(field, gb ** N))
     rb = tensor_subspace(Subspace.full(field, ga ** N), b.relations)
-    sep = Subspace.from_vectors(field, ra.ambient_dim,
-                                ra.basis.rows + rb.basis.rows)
+    sep = Subspace.from_vectors(field, ra.ambient_dim, ra.rows + rb.rows)
     rel = interleave_subspace(sep, N, ga, gb)
     label = None
     if a.label and b.label:
@@ -458,22 +421,33 @@ def bullet(a, b):
                                gen_names=_pair_names(a, b), label=label)
 
 
-def _tensor_power_matrix(matrix, k, field):
-    out = Matrix.identity(field, 1)
-    for _ in range(k):
-        out = out.kron(matrix)
-    return out
+def _transported_rows(algebra, matrix):
+    """The relation rows pushed through the N-th tensor power of matrix.
+
+    A word goes to the Kronecker product of the matrix columns of its
+    letters, formed factor by factor; the image lies in the N-th tensor
+    power of the matrix's target space.
+    """
+    g, N, height = algebra.dim_e, algebra.N, matrix.nrows
+    cols = matrix.columns()
+    images = []
+    for rel in algebra.relations.rows:
+        image = {}
+        for widx, c in rel.items():
+            terms = {0: c}
+            for letter in index_word(widx, g, N):
+                terms = {t * height + i: tc * v for t, tc in terms.items()
+                         for i, v in cols[letter].items()}
+            for t, tc in terms.items():
+                image[t] = image.get(t, 0) + tc
+        images.append(settled(image, modulus(algebra.field)))
+    return images
 
 
 def _transported_relations(algebra, matrix):
-    """Image of the relation space under the N-th tensor power of matrix.
-
-    The image lies in the N-th tensor power of the matrix's target space,
-    whose dimension is the matrix's row count to the N.
-    """
-    power = _tensor_power_matrix(matrix, algebra.N, algebra.field)
-    rows = [power.apply(row) for row in algebra.relations.basis.rows]
-    return Subspace.from_vectors(algebra.field, power.nrows, rows)
+    """Image of the relation space under the N-th tensor power of matrix."""
+    return Subspace.from_vectors(algebra.field, matrix.nrows ** algebra.N,
+                                 _transported_rows(algebra, matrix))
 
 
 def is_morphism(source, target, matrix):
@@ -482,13 +456,8 @@ def is_morphism(source, target, matrix):
         return False
     if matrix.ncols != source.dim_e or matrix.nrows != target.dim_e:
         return False
-    if source.relations.dim == 0:
-        return True
-    big = _tensor_power_matrix(matrix, source.N, source.field)
-    for row in source.relations.basis.rows:
-        if not target.relations.contains_vector(big.apply(row)):
-            return False
-    return True
+    return all(target.relations.contains_vector(image)
+               for image in _transported_rows(source, matrix))
 
 
 class Morphism:
@@ -563,13 +532,8 @@ def full_relations_algebra(dim_e, degree, field=QQ, gen_names=None,
 
 def symmetric_algebra(dim_e, field=QQ, gen_names=None, label=None):
     """Commutative polynomials in dim_e variables (relation degree 2)."""
-    vectors = []
-    for i in range(dim_e):
-        for j in range(i + 1, dim_e):
-            vec = [field.zero] * dim_e ** 2
-            vec[i * dim_e + j] = field.one
-            vec[j * dim_e + i] = field.neg(field.one)
-            vectors.append(vec)
+    vectors = [{i * dim_e + j: 1, j * dim_e + i: -1}
+               for i in range(dim_e) for j in range(i + 1, dim_e)]
     rel = Subspace.from_vectors(field, dim_e ** 2, vectors)
     return NHomogeneousAlgebra(dim_e, 2, rel, gen_names=gen_names,
                                label=label or "sym(%d)" % dim_e)

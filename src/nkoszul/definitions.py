@@ -39,16 +39,15 @@ class AlgebraDefinition:
 
     def relation_subspace(self):
         g = len(self.generators)
-        amb = g ** self.degree
         field = self.field
         rows = []
         for terms in self.relations:
-            row = [field.zero] * amb
+            row = {}
             for coeff, word in terms:
                 j = word_index(word, g)
-                row[j] = field.add(row[j], field.coerce(coeff))
+                row[j] = field.add(row.get(j, field.zero), field.coerce(coeff))
             rows.append(row)
-        return Subspace.from_vectors(field, amb, rows)
+        return Subspace.from_vectors(field, g ** self.degree, rows)
 
     def to_algebra(self):
         return NHomogeneousAlgebra(
@@ -206,11 +205,9 @@ def serialize_definition(definition):
     lines = ["field %s" % definition.field_spec,
              "generators %s" % " ".join(definition.generators),
              "degree %d" % definition.degree]
-    for row in sub.basis.rows:
+    for row in sub.rows:
         parts = []
-        for j, c in enumerate(row):
-            if not c:
-                continue
+        for j, c in sorted(row.items()):
             word = index_word(j, g, definition.degree)
             name = ".".join(definition.generators[k] for k in word)
             text = _coeff_str(field, c)
@@ -232,9 +229,9 @@ def definition_from_algebra(algebra):
         generators = ["g%d" % i for i in range(algebra.dim_e)]
     g = algebra.dim_e
     relations = []
-    for row in algebra.relations.basis.rows:
+    for row in algebra.relations.rows:
         terms = [(c, index_word(j, g, algebra.N))
-                 for j, c in enumerate(row) if c]
+                 for j, c in sorted(row.items())]
         relations.append(terms)
     return AlgebraDefinition(field_name(algebra.field), generators, algebra.N,
                              relations)

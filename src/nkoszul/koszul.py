@@ -42,10 +42,9 @@ from collections import namedtuple
 
 from .algebra import GradedElement, Morphism, circ
 from .errors import ContractViolation, DimensionMismatch
-from .linalg import Matrix, pivot_rows_to_subspace
+from .linalg import Matrix
 from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
                        over_common_denominator, settled, transpose_cols)
-from .words import index_word
 
 PositionInfo = namedtuple("PositionInfo",
                           ["label", "c_degree", "w_degree", "dim",
@@ -82,31 +81,6 @@ def kron_sum_apply(p, xs, ys, y_src, y_tgt, vec):
                     tix = base + ty
                     out[tix] = get(tix, 0) + cxo * cy
     return settled(out, p)
-
-
-def dual_component(algebra, m):
-    """W_m as a canonical subspace of E^(x)m (desk scale)."""
-    if m < 0:
-        raise DimensionMismatch("negative degree")
-    field, g = algebra.field, algebra.dim_e
-    bang = algebra.dual()
-    ambient = g ** m
-    # row u: basis vector u of W_m in word coordinates, dual to class u
-    rows = [{} for _ in range(bang.dim(m))]
-    for widx in range(ambient):
-        for u, c in bang.word_class(index_word(widx, g, m)).items():
-            rows[u][widx] = c
-    elim = Eliminator(field)
-    for row in rows:
-        elim.add(row)
-    elim.finalize()
-    return pivot_rows_to_subspace(field, ambient, elim.pivot_rows)
-
-
-def _matrix_cols(matrix):
-    """A dense matrix as sparse columns {row: nonzero entry}."""
-    return [{j: row[a] for j, row in enumerate(matrix.rows) if row[a]}
-            for a in range(matrix.ncols)]
 
 
 class _KoszulSlice:
@@ -163,7 +137,7 @@ class _KoszulSlice:
                 # f(x_letter) = sum_j c_j x_j, so its column at src is
                 # sum_j c_j * cols[j][src]
                 (fcols,), fscale = over_common_denominator(
-                    self.field, [_matrix_cols(self.morphism.matrix)])
+                    self.field, [self.morphism.matrix.columns()])
                 by_src = list(zip(*cols))
                 cols = [[apply_cols(self._p, at_src, fcol)
                          for at_src in by_src] for fcol in fcols]
@@ -787,7 +761,7 @@ class GradedMap:
 
     @classmethod
     def from_morphism(cls, morphism):
-        return cls({1: _matrix_cols(morphism.matrix)})
+        return cls({1: morphism.matrix.columns()})
 
 
 def _block_offsets(target, bang, t):

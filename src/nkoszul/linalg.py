@@ -1,15 +1,17 @@
-"""Dense exact linear algebra over an abstract field.
+"""Exact linear algebra over an abstract field.
 
-Everything is canonical-form based: a subspace is stored as the reduced
-row echelon form of any spanning set (zero rows dropped, pivots on the
-leftmost possible columns), so two subspaces are equal iff their stored
-matrices are equal entry for entry.  The canonical forms come from
-``sparsela.Eliminator``, the package's one elimination kernel:
-``rref`` feeds it a matrix's rows and reads back its finalized rows.
+A subspace is held in canonical form: the reduced row echelon form of any
+spanning set, as sparse rows {column: scalar} (zero rows dropped, pivots
+on the leftmost possible columns), so two subspaces are equal iff their
+pivots and rows are equal.  The canonical forms come from
+``sparsela.Eliminator``, the package's one elimination kernel: ``rref``
+feeds it sparse rows and reads back its finalized rows.  ``Matrix`` is a
+dense matrix, the type of the linear maps: morphisms on generators and
+reduction operators.
 """
 
 from .errors import DimensionMismatch
-from .sparsela import Eliminator
+from .sparsela import Eliminator, apply_cols, modulus
 
 
 class Matrix:
@@ -85,21 +87,10 @@ class Matrix:
             out.append(acc)
         return out
 
-    def kron(self, other):
-        """Kronecker product; row (i,k) col (j,l) gets a_ij * b_kl."""
-        f = self.field
-        rows = []
-        for arow in self.rows:
-            for brow in other.rows:
-                row = []
-                for a in arow:
-                    if a:
-                        row.extend(f.mul(a, b) if b else f.zero for b in brow)
-                    else:
-                        row.extend([f.zero] * other.ncols)
-                rows.append(row)
-        return Matrix(f, self.nrows * other.nrows,
-                      self.ncols * other.ncols, rows)
+    def columns(self):
+        """The columns as sparse dicts {row: nonzero entry}."""
+        return [{i: row[j] for i, row in enumerate(self.rows) if row[j]}
+                for j in range(self.ncols)]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -114,129 +105,126 @@ class Matrix:
         return "Matrix(%d x %d over %r)" % (self.nrows, self.ncols, self.field)
 
 
-def _eliminated(matrix):
-    """An Eliminator fed the rows of a dense matrix, not finalized."""
-    elim = Eliminator(matrix.field)
-    for row in matrix.rows:
-        elim.add({j: v for j, v in enumerate(row) if v})
-    return elim
+def _sparse_rows(matrix):
+    """The rows of a dense matrix as sparse dicts without zeros."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix.rows]
 
 
-def rref(matrix):
-    """Reduced row echelon form.
+def rref(field, rows):
+    """Reduced row echelon form of sparse rows {column: field scalar}.
 
-    Returns (Matrix, pivots): zero rows dropped, each pivot entry 1 with
-    zeros above and below, pivots strictly increasing.  The result is the
-    canonical representative of the row space.
+    Returns (rows, pivots): the nonzero rows of the canonical RREF of the
+    row space as dicts, in increasing pivot order, each with entry
+    ``field.one`` at its pivot and no entry at another pivot.
     """
-    elim = _eliminated(matrix)
+    elim = Eliminator(field)
+    for row in rows:
+        elim.add(row)
     elim.finalize()
-    sub = pivot_rows_to_subspace(matrix.field, matrix.ncols, elim.pivot_rows)
-    return sub.basis, sub.pivots
+    pivots = tuple(sorted(elim.pivot_rows))
+    return tuple(elim.pivot_rows[p] for p in pivots), pivots
 
 
 def rank(matrix):
     """Rank, read from the forward elimination without back-substituting."""
-    return _eliminated(matrix).rank
+    elim = Eliminator(matrix.field)
+    for row in _sparse_rows(matrix):
+        elim.add(row)
+    return elim.rank
+
+
+def _settled_row(field, ambient_dim, row):
+    """A sparse row with its scalars coerced into field and no zeros."""
+    out = {}
+    for j, v in row.items():
+        if not 0 <= j < ambient_dim:
+            raise DimensionMismatch(
+                "coordinate %r outside dimension %d" % (j, ambient_dim))
+        v = field.coerce(v)
+        if v:
+            out[j] = v
+    return out
 
 
 class Subspace:
-    """Subspace of a coordinate space, held in canonical RREF form."""
+    """Subspace of a coordinate space, held in canonical RREF form.
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    ``rows`` are the RREF rows as sparse dicts, in the order of
+    ``pivots``: what ``rref`` returns for any spanning set.
+    """
 
-    def __init__(self, field, ambient_dim, basis, pivots):
+    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+
+    def __init__(self, field, ambient_dim, rows, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
         self.pivots = pivots
 
     @classmethod
-    def from_vectors(cls, field, ambient_dim, vectors):
-        red, piv = rref(Matrix.from_rows(field, vectors, ncols=ambient_dim))
-        return cls(field, ambient_dim, red, piv)
+    def from_vectors(cls, field, ambient_dim, rows):
+        """The span of sparse rows {coordinate: scalar}."""
+        return cls(field, ambient_dim, *rref(
+            field, [_settled_row(field, ambient_dim, row) for row in rows]))
 
     @classmethod
     def zero(cls, field, ambient_dim):
-        return cls(field, ambient_dim,
-                   Matrix.from_rows(field, [], ncols=ambient_dim), ())
+        return cls(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim),
+        return cls(field, ambient_dim,
+                   tuple({j: field.one} for j in range(ambient_dim)),
                    tuple(range(ambient_dim)))
 
     @property
     def dim(self):
-        return self.basis.nrows
-
-    def coordinates_of(self, vec):
-        """Coordinates of vec in the canonical basis, or None if outside."""
-        f = self.field
-        vec = [f.coerce(x) for x in vec]
-        if len(vec) != self.ambient_dim:
-            raise DimensionMismatch("vector length != ambient dimension")
-        coords = [vec[p] for p in self.pivots]
-        # residual check: vec - sum coords_i * basis_i must vanish
-        for j in range(self.ambient_dim):
-            acc = vec[j]
-            for c, row in zip(coords, self.basis.rows):
-                if c and row[j]:
-                    acc = f.sub(acc, f.mul(c, row[j]))
-            if acc:
-                return None
-        return coords
+        return len(self.pivots)
 
     def contains_vector(self, vec):
-        return self.coordinates_of(vec) is not None
+        """Does the sparse vector {coordinate: scalar} lie in the subspace?
+
+        Its entries at the pivots are its only possible coordinates in
+        the canonical basis.
+        """
+        vec = _settled_row(self.field, self.ambient_dim, vec)
+        coords = {i: vec[p] for i, p in enumerate(self.pivots) if p in vec}
+        return apply_cols(modulus(self.field), self.rows, coords) == vec
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
                 and self.field == other.field
-                and self.basis == other.basis)
+                and self.pivots == other.pivots
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.pivots))
 
     def __repr__(self):
         return "Subspace(dim %d of %d over %r)" % (
             self.dim, self.ambient_dim, self.field)
 
 
-def subspace_rows(subspace):
-    """Canonical basis of a dense Subspace as a list of sparse dict rows."""
-    return [{j: v for j, v in enumerate(row) if v}
-            for row in subspace.basis.rows]
+def null_space(subspace):
+    """The vectors x with sum_j row[j] * x[j] = 0 for each row of subspace.
 
-
-def pivot_rows_to_subspace(field, ambient, pivot_rows):
-    """Finalized RREF rows (dict {pivot: row}) as a canonical dense Subspace."""
-    pivots = sorted(pivot_rows)
-    zero = field.zero
-    rows = []
-    for piv in pivots:
-        dense = [zero] * ambient
-        for j, v in pivot_rows[piv].items():
-            dense[j] = v
-        rows.append(dense)
-    mat = Matrix(field, len(rows), ambient, rows)
-    return Subspace(field, ambient, mat, tuple(pivots))
+    Read off the canonical rows: each non-pivot column j gives e_j minus
+    the entry of every row in column j at that row's pivot.
+    """
+    field, pivots = subspace.field, subspace.pivots
+    taken = set(pivots)
+    vectors = {j: {j: field.one} for j in range(subspace.ambient_dim)
+               if j not in taken}
+    for p, row in zip(pivots, subspace.rows):
+        for j, v in row.items():
+            if j != p:
+                vectors[j][p] = field.neg(v)
+    return Subspace.from_vectors(field, subspace.ambient_dim,
+                                 vectors.values())
 
 
 def kernel(matrix):
-    """Kernel of a matrix acting on columns, as a canonical Subspace."""
-    red, pivots = rref(matrix)
-    fld = matrix.field
-    n = matrix.ncols
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    vectors = []
-    for j in free:
-        vec = [fld.zero] * n
-        vec[j] = fld.one
-        for i, p in enumerate(pivots):
-            if red.rows[i][j]:
-                vec[p] = fld.neg(red.rows[i][j])
-        vectors.append(vec)
-    return Subspace.from_vectors(fld, n, vectors)
+    """Kernel of a matrix acting on columns: the null space of its rows."""
+    return null_space(Subspace.from_vectors(matrix.field, matrix.ncols,
+                                            _sparse_rows(matrix)))

@@ -48,8 +48,8 @@ def _descending_rref(relations):
     """
     last = relations.ambient_dim - 1
     elim = Eliminator(relations.field)
-    for row in relations.basis.rows:
-        elim.add({last - w: c for w, c in enumerate(row) if c})
+    for row in relations.rows:
+        elim.add({last - w: c for w, c in row.items()})
     elim.finalize()
     return {last - p: {last - j: c for j, c in row.items()}
             for p, row in elim.pivot_rows.items()}
@@ -131,10 +131,5 @@ def monomial_rotation_closure(words, r, alphabet_size):
 
 def monomial_subspace(field, dim_e, n, words):
     """Span of unit vectors at the given words inside E^(x)n."""
-    amb = dim_e ** n
-    rows = []
-    for w in words:
-        row = [0] * amb
-        row[word_index(tuple(w), dim_e)] = 1
-        rows.append(row)
-    return Subspace.from_vectors(field, amb, rows)
+    return Subspace.from_vectors(
+        field, dim_e ** n, [{word_index(tuple(w), dim_e): 1} for w in words])

@@ -27,8 +27,7 @@ def random_subspace(field, ambient, rng, dim=None, span=4):
     pset = set(pivots)
     rows = []
     for p in pivots:
-        row = [0] * ambient
-        row[p] = 1
+        row = {p: 1}
         for c in range(p + 1, ambient):
             if c not in pset:
                 row[c] = rng.randint(-span, span)
@@ -88,10 +87,10 @@ def random_full_rank_non_isomorphism(algebra, rng, span=3):
     transported = _transported_relations(algebra, mat)
     # adjoin one random vector outside the transported relations
     while True:
-        extra = [rng.randint(-span, span) for _ in range(amb)]
+        extra = {j: rng.randint(-span, span) for j in range(amb)}
         if not transported.contains_vector(extra):
             break
     bigger = Subspace.from_vectors(algebra.field, amb,
-                                   transported.basis.rows + [extra])
+                                   transported.rows + (extra,))
     target = NHomogeneousAlgebra(algebra.dim_e, algebra.N, bigger)
     return Morphism(algebra, target, mat)

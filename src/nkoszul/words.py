@@ -7,7 +7,7 @@ significant), so lexicographic word order matches index order.
 """
 
 from .errors import DimensionMismatch
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Subspace, null_space
 
 
 def word_index(word, alphabet_size):
@@ -75,25 +75,8 @@ def interleave_index(sep_index, n_blocks, dim_a, dim_b):
 
 def interleaving_permutation(n_blocks, dim_a, dim_b):
     """List P with P[separated index] = interleaved index."""
-    total = (dim_a * dim_b) ** n_blocks
-    perm = [0] * total
-    for s in range(total):
-        perm[s] = interleave_index(s, n_blocks, dim_a, dim_b)
-    return perm
-
-
-def shuffle_map(field, n_blocks, dim_a, dim_b):
-    """The deinterleaving isomorphism (A (x) B)^(x)n -> A^(x)n (x) B^(x)n.
-
-    Sends the k-th pair factor a (x) b to the k-th slot of each side; its
-    matrix is the permutation with entry 1 at (separated, interleaved).
-    """
-    perm = interleaving_permutation(n_blocks, dim_a, dim_b)
-    total = len(perm)
-    mat = Matrix.zeros(field, total, total)
-    for sep, inter in enumerate(perm):
-        mat.rows[sep][inter] = field.one
-    return mat
+    return [interleave_index(s, n_blocks, dim_a, dim_b)
+            for s in range((dim_a * dim_b) ** n_blocks)]
 
 
 def interleave_subspace(subspace, n_blocks, dim_a, dim_b):
@@ -102,16 +85,9 @@ def interleave_subspace(subspace, n_blocks, dim_a, dim_b):
     if subspace.ambient_dim != expected:
         raise DimensionMismatch("subspace not in the separated tensor space")
     perm = interleaving_permutation(n_blocks, dim_a, dim_b)
-    field = subspace.field
-    total = len(perm)
-    vectors = []
-    for row in subspace.basis.rows:
-        vec = [field.zero] * total
-        for sep, c in enumerate(row):
-            if c:
-                vec[perm[sep]] = c
-        vectors.append(vec)
-    return Subspace.from_vectors(field, total, vectors)
+    return Subspace.from_vectors(
+        subspace.field, len(perm),
+        [{perm[sep]: c for sep, c in row.items()} for row in subspace.rows])
 
 
 def annihilator(subspace):
@@ -120,7 +96,7 @@ def annihilator(subspace):
     Coordinates of the dual space are taken in the dual basis, so the
     annihilator of a subspace of words is again a subspace of words.
     """
-    return kernel(subspace.basis)
+    return null_space(subspace)
 
 
 def tensor_subspace(a, b):
@@ -132,11 +108,12 @@ def tensor_subspace(a, b):
     """
     if a.field != b.field:
         raise DimensionMismatch("tensor_subspace: field mismatch")
-    ambient = a.ambient_dim * b.ambient_dim
-    basis = a.basis.kron(b.basis)
-    pivots = tuple(p * b.ambient_dim + q for p in a.pivots for q in b.pivots)
-    out = Subspace(a.field, ambient, basis, pivots)
-    return out
+    mul, width = a.field.mul, b.ambient_dim
+    rows = tuple({i * width + j: mul(u, v)
+                  for i, u in ra.items() for j, v in rb.items()}
+                 for ra in a.rows for rb in b.rows)
+    pivots = tuple(p * width + q for p in a.pivots for q in b.pivots)
+    return Subspace(a.field, a.ambient_dim * width, rows, pivots)
 
 
 def block_embed(relations, dim_e, left, right):

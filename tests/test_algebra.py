@@ -5,18 +5,23 @@ from hypothesis import given, settings, strategies as st
 
 import nkoszul.algebra as algebra_module
 from nkoszul.algebra import (GradedElement, Morphism, NHomogeneousAlgebra,
-                             _tensor_power_matrix, bullet, circ,
-                             component_relations, end_algebra, free_algebra,
+                             bullet, circ, end_algebra, free_algebra,
                              full_relations_algebra, hilbert_dims, hom_algebra,
                              is_morphism, prop1_check, symmetric_algebra,
                              veronese_dims)
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.linalg import Matrix, Subspace
-from nkoszul.sampling import random_algebra, random_subspace, rng_from_seed
+from nkoszul.sampling import (random_algebra,
+                              random_full_rank_non_isomorphism,
+                              random_isomorphism,
+                              random_rank_deficient_morphism,
+                              random_subspace, rng_from_seed)
 from nkoszul.sparsela import Eliminator, primitive_row
 from nkoszul.words import index_word
-from oracles import row_axpy
+from oracles import (component_relations, dense_rows, kron_power,
+                     reference_transported_relations, row_axpy, sparse_rows,
+                     word_class)
 
 
 def commutator_algebra():
@@ -48,8 +53,9 @@ def fractional_algebra(g, N, dim_r, rng):
     """A random Schubert-cell relation space with its free entries divided."""
     base = random_subspace(QQ, g ** N, rng, dim=dim_r)
     rows = [[v if j in base.pivots else v / rng.randint(1, 4)
-             for j, v in enumerate(row)] for row in base.basis.rows]
-    return NHomogeneousAlgebra(g, N, Subspace.from_vectors(QQ, g ** N, rows))
+             for j, v in enumerate(row)] for row in dense_rows(base)]
+    return NHomogeneousAlgebra(
+        g, N, Subspace.from_vectors(QQ, g ** N, sparse_rows(rows)))
 
 
 def test_dims_complement_relation_space():
@@ -58,8 +64,8 @@ def test_dims_complement_relation_space():
     algebras = [random_algebra(2, 3, rng) for _ in range(5)]
     B = fractional_algebra(3, 3, 9, rng_from_seed(12))
     assert B.relations.dim == 9
-    assert any(v.denominator != 1 for row in B.relations.basis.rows
-               for v in row)
+    assert any(v.denominator != 1 for row in B.relations.rows
+               for v in row.values())
     algebras.append(B)
     for A in algebras:
         for n in range(6):
@@ -79,7 +85,7 @@ def test_normal_words_prefix_closed():
 def word_element(algebra, word):
     """The class of a word as a GradedElement, read from word_class."""
     n = len(word)
-    vec = algebra.word_class(word)
+    vec = word_class(algebra, word)
     return GradedElement(n, tuple(vec.get(i, algebra.field.zero)
                                   for i in range(algebra.dim(n))))
 
@@ -95,7 +101,7 @@ def test_multiply_against_word_classes():
 
 def test_element_from_dead_word_is_zero():
     Z = full_relations_algebra(2, 2)
-    assert Z.word_class((0, 1)) == {}
+    assert word_class(Z, (0, 1)) == {}
 
 
 def test_dual_of_polynomial_is_exterior():
@@ -105,9 +111,9 @@ def test_dual_of_polynomial_is_exterior():
     # the exterior relations: x'x', y'y', x'y' + y'x'
     R = B.relations
     assert R.dim == 3
-    assert R.contains_vector([1, 0, 0, 0])
-    assert R.contains_vector([0, 0, 0, 1])
-    assert R.contains_vector([0, 1, 1, 0])
+    assert R.contains_vector({0: 1})
+    assert R.contains_vector({3: 1})
+    assert R.contains_vector({1: 1, 2: 1})
 
 
 def test_double_dual_is_identity():
@@ -175,7 +181,7 @@ def test_veronese_dims():
 
 def test_mod_p_agreement():
     # relation coefficients in {-1, 0, 1}: dims agree over Q and GF(32003)
-    rows = [[0, 1, -1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, -1, 0, 0]]
+    rows = [{1: 1, 2: -1}, {3: 1, 5: -1}]
     AQ = NHomogeneousAlgebra(2, 3, Subspace.from_vectors(QQ, 8, rows))
     F = GF(32003)
     AF = NHomogeneousAlgebra(2, 3, Subspace.from_vectors(F, 8, rows))
@@ -215,13 +221,47 @@ def test_morphism_rejects_bad_map():
 
 
 def test_morphism_tensor_power():
+    # the relation transport, word by word, against the dense Kronecker
+    # power of the map applied to the dense relation rows
     A = commutator_algebra()
     f = Morphism(A, A, [[1, 1], [0, 1]])    # f(y) = x + y
-    sq = _tensor_power_matrix(f.matrix, 2, QQ)
+    sq = kron_power(f.matrix, 2)
     assert sq.ncols == 4 and sq.nrows == 4
     # (x+y) (x) (x+y) has coefficient 1 at every word of {x,y}^2
     col = [sq.rows[i][3] for i in range(4)]
     assert col == [QQ.one] * 4
+    assert f.relations_image() == reference_transported_relations(A, f.matrix)
+
+    def agrees(source, target, matrix):
+        image = algebra_module._transported_relations(source, matrix)
+        want = reference_transported_relations(source, matrix)
+        verdict = all(target.relations.contains_vector(row)
+                      for row in want.rows)
+        assert image == want
+        assert is_morphism(source, target, matrix) == verdict
+        return verdict
+
+    # the non-morphism of test_morphism_rejects_bad_map, and one that
+    # sends x.y - y.x into R but x.x outside it
+    ident = Matrix.identity(QQ, 2)
+    assert not agrees(A, free_algebra(2, 2), ident)
+    wider = Subspace.from_vectors(QQ, 4, [{1: 1, 2: -1}, {0: 1}])
+    assert not agrees(NHomogeneousAlgebra(2, 2, wider), A, ident)
+    rng = rng_from_seed(61)
+    verdicts = []
+    for field in (QQ, GF(7)):
+        for g, N in ((2, 2), (2, 3), (3, 2)):
+            A = random_algebra(g, N, rng, field=field)
+            for make in (random_isomorphism, random_rank_deficient_morphism,
+                         random_full_rank_non_isomorphism):
+                f = make(A, rng)
+                if f is None:
+                    continue
+                assert f.relations_image() == reference_transported_relations(
+                    A, f.matrix)
+                verdicts.append(agrees(A, f.target, f.matrix))
+                verdicts.append(agrees(f.target, A, f.matrix))
+    assert True in verdicts and False in verdicts
 
 
 def test_relations_image_lives_in_the_target_power():
@@ -231,8 +271,8 @@ def test_relations_image_lives_in_the_target_power():
                  [[1, 0], [0, 1], [1, 1]])
     image = f.relations_image()
     assert image.ambient_dim == 9
-    assert image == Subspace.from_vectors(QQ, 9,
-                                          [[0, 1, 1, -1, 0, -1, -1, 1, 0]])
+    assert image == Subspace.from_vectors(
+        QQ, 9, [{1: 1, 2: 1, 3: -1, 5: -1, 6: -1, 7: 1}])
 
 
 @given(st.integers(min_value=0, max_value=31), st.integers(min_value=0, max_value=5))
@@ -242,7 +282,7 @@ def test_word_class_lives_in_component(seed, n):
     A = random_algebra(2, 2, rng)
     comp = A.component(n)
     for idx in range(2 ** n):
-        cls = A.word_class(index_word(idx, 2, n))
+        cls = word_class(A, index_word(idx, 2, n))
         assert all(0 <= pos < comp.dim for pos in cls)
 
 
@@ -272,7 +312,7 @@ def reference_tower(algebra, n_max):
                                 row_axpy(field, out, c, rmul[letter][src])
                             nxt[pidx * g + letter] = out
                     cur = nxt
-                for rel in algebra.relation_rows():
+                for rel in algebra.relations.rows:
                     row = {}
                     for widx, c in rel.items():
                         vpre, last = divmod(widx, g)
@@ -415,7 +455,7 @@ def test_hilbert_dims_leave_the_top_degree_unfinalized(monkeypatch, kind):
 
 def test_integer_tables_keep_the_denominator():
     # x.y = 1/2 y.x and y.y = 0; the normal words of A_2 are x.x and y.x
-    rows = [[0, 2, -1, 0], [0, 0, 0, 1]]
+    rows = [{1: 2, 2: -1}, {3: 1}]
     A = NHomogeneousAlgebra(2, 2, Subspace.from_vectors(QQ, 4, rows))
     comp = A.component(2)
     assert comp.den == 2

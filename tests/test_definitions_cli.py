@@ -2,6 +2,7 @@
 
 import json
 import re
+import resource
 import subprocess
 import sys
 
@@ -105,9 +106,9 @@ def test_definition_from_algebra_round_trip():
     assert dual_def.to_algebra() == A.dual()
 
 
-def run_cli(args, files):
+def run_cli(args, files, **kwargs):
     cmd = [sys.executable, "-m", "nkoszul.cli"] + args + [str(f) for f in files]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, **kwargs)
 
 
 @pytest.fixture
@@ -124,6 +125,22 @@ def test_cli_hilbert(defs):
     res = run_cli(["hilbert", "--nmax", "5"], [defs["wedge3"]])
     assert res.returncode == 0
     assert "dims: 1 1 1 0 0 0" in res.stdout
+
+
+def test_cli_hilbert_of_a_degree_40_definition_in_1_gib(tmp_path):
+    # R lies in a word space of dimension 2^40, but the tower through
+    # degree 3 never reaches degree 40: parsing must not touch that space
+    path = tmp_path / "deg40.alg"
+    path.write_text("generators x y\ndegree 40\nrelation %s - y.%s\n"
+                    % (".".join("x" * 40), ".".join("x" * 39)))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    res = run_cli(["hilbert", "--nmax", "3"], [path],
+                  preexec_fn=cap_address_space, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "dims: 1 2 4 8" in res.stdout
 
 
 def test_cli_dual_of_free_line(defs):

@@ -14,7 +14,7 @@ from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             KoszulElement, _BarBlock, _bar_matrix,
-                            _KoszulSlice, convolution_check, dual_component,
+                            _KoszulSlice, convolution_check,
                             generalized_homology, koszul_K, koszul_L,
                             koszulity_check, kron_sum_apply, lemma2_check,
                             slice_acyclic, tor_dims, tor_pure_degree,
@@ -24,7 +24,7 @@ from nkoszul.sampling import (random_algebra, random_isomorphism,
                               rng_from_seed, transported_algebra)
 from nkoszul.sparsela import Eliminator
 from nkoszul.words import block_embed
-from oracles import subspace_intersect
+from oracles import dual_component, sparse_rows, subspace_intersect
 
 
 def commutator_algebra():
@@ -496,7 +496,8 @@ def drawn_algebra(field, seed, coefficient, dim_r=3):
     """A (2, 3) algebra whose relations are dim_r drawn rows."""
     rng = rng_from_seed(seed)
     rows = [[coefficient(rng) for _ in range(8)] for _ in range(dim_r)]
-    return NHomogeneousAlgebra(2, 3, Subspace.from_vectors(field, 8, rows))
+    return NHomogeneousAlgebra(
+        2, 3, Subspace.from_vectors(field, 8, sparse_rows(rows)))
 
 
 def bar_oracle_algebras():

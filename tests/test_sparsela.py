@@ -10,12 +10,12 @@ from hypothesis import (event, example, given, settings, strategies as st,
 
 from nkoszul.errors import ContractViolation
 from nkoszul.fields import GF, QQ
-from nkoszul.linalg import Matrix, rref
+from nkoszul.linalg import rref
 from nkoszul.reduction import _descending_rref
 from nkoszul.sampling import random_subspace, rng_from_seed
 from nkoszul.sparsela import (Eliminator, apply_cols, modulus,
                               over_common_denominator)
-from oracles import row_axpy
+from oracles import dense_rows, row_axpy, sparse_rows
 
 SCALARS = st.one_of(
     st.integers(-6, 6),
@@ -186,12 +186,12 @@ def test_linalg_rref_matches_dense_oracle(case, field):
         rows = mod7(rows)
     event("at least 200 columns" if ncols >= 200 else "narrow")
     pivots, red = gauss_jordan_rref(field, rows, ncols)
-    mat, got = rref(Matrix(field, len(rows), ncols, rows))
+    got_rows, got = rref(field, sparse_rows(rows))
     assert list(got) == pivots
-    assert (mat.nrows, mat.ncols) == (len(red), ncols)
-    assert mat.rows == red
+    assert [dense(field, ncols, row) for row in got_rows] == red
     scalar_type = type(field.one)
-    assert all(type(v) is scalar_type for row in mat.rows for v in row)
+    assert all(type(v) is scalar_type
+               for row in got_rows for v in row.values())
 
 
 @pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF(7)"])
@@ -201,7 +201,7 @@ def test_descending_rref_is_the_reversed_rref(field):
         amb = rng.choice([2, 4, 8, 9, 16, 27])
         rel = random_subspace(field, amb, rng)
         last = amb - 1
-        flipped = [row[::-1] for row in rel.basis.rows]
+        flipped = [row[::-1] for row in dense_rows(rel)]
         pivots, red = gauss_jordan_rref(field, flipped, amb)
         want = {last - p: {last - j: c for j, c in enumerate(row) if c}
                 for p, row in zip(pivots, red)}

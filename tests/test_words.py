@@ -7,8 +7,9 @@ from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import QQ
 from nkoszul.linalg import Subspace
 from nkoszul.words import (WordBasis, annihilator, block_embed, index_word,
-                           interleave_index, interleave_subspace, shuffle_map,
+                           interleave_index, interleave_subspace,
                            tensor_subspace, word_index)
+from oracles import dense_rows, shuffle_map, sparse_rows
 
 
 def test_word_index_is_lexicographic():
@@ -59,13 +60,13 @@ def test_shuffle_map_is_permutation():
 
 
 def test_annihilator_dims_and_double_perp():
-    U = Subspace.from_vectors(QQ, 4, [[1, 2, 0, 0], [0, 0, 1, -1]])
+    U = Subspace.from_vectors(QQ, 4, [{0: 1, 1: 2}, {2: 1, 3: -1}])
     perp = annihilator(U)
     assert perp.dim == 2
     assert annihilator(perp) == U
     # pairing really vanishes
-    for u in U.basis.rows:
-        for v in perp.basis.rows:
+    for u in dense_rows(U):
+        for v in dense_rows(perp):
             s = QQ.zero
             for a, b in zip(u, v):
                 s = QQ.add(s, QQ.mul(a, b))
@@ -73,31 +74,28 @@ def test_annihilator_dims_and_double_perp():
 
 
 def test_tensor_subspace_dims():
-    U = Subspace.from_vectors(QQ, 2, [[1, 1]])
-    V = Subspace.from_vectors(QQ, 3, [[1, 0, 0], [0, 1, 0]])
+    U = Subspace.from_vectors(QQ, 2, [{0: 1, 1: 1}])
+    V = Subspace.from_vectors(QQ, 3, [{0: 1}, {1: 1}])
     W = tensor_subspace(U, V)
     assert W.ambient_dim == 6
     assert W.dim == 2
-    assert W.contains_vector([1, 0, 0, 1, 0, 0])
+    assert W.contains_vector({0: 1, 3: 1})
 
 
 def test_block_embed_matches_intersection_oracle():
     # E (x) R inside E^(x)3 for R = span(xy - yx)
-    R = Subspace.from_vectors(QQ, 4, [[0, 1, -1, 0]])
+    R = Subspace.from_vectors(QQ, 4, [{1: 1, 2: -1}])
     left = block_embed(R, 2, 1, 0)
     assert left.ambient_dim == 8 and left.dim == 2
     # oracle: all vectors whose both "slices" lie in R
     vecs = []
     for a in range(2):
-        row = [0] * 8
-        row[a * 4 + 1] = 1
-        row[a * 4 + 2] = -1
-        vecs.append(row)
+        vecs.append({a * 4 + 1: 1, a * 4 + 2: -1})
     assert left == Subspace.from_vectors(QQ, 8, vecs)
 
 
 def test_interleave_subspace_preserves_dim():
-    U = Subspace.from_vectors(QQ, 4, [[1, 0, 0, 1], [0, 1, 1, 0]])
+    U = Subspace.from_vectors(QQ, 4, [{0: 1, 3: 1}, {1: 1, 2: 1}])
     W = interleave_subspace(tensor_subspace(U, U), 2, 2, 2)
     assert W.ambient_dim == 16
     assert W.dim == 4
@@ -113,5 +111,5 @@ def test_annihilator_dimension_law(g, n, data):
         st.lists(st.integers(min_value=-3, max_value=3),
                  min_size=amb, max_size=amb),
         min_size=nrows, max_size=nrows))
-    U = Subspace.from_vectors(QQ, amb, rows)
+    U = Subspace.from_vectors(QQ, amb, sparse_rows(rows))
     assert annihilator(U).dim == amb - U.dim
