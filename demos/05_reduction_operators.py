@@ -21,12 +21,11 @@ print("leading words:", [basis.label(w, names) for w in op.leading_words])
 print("fixed words  :", [basis.label(w, names) for w in op.image_words()])
 print()
 
-# Rewriting y.x: the relation x.y - y.x sends it to x.y.
-vec = [QQ.zero] * 4
-vec[basis.index((1, 0))] = QQ.one
-out = op.apply(vec)
+# Rewriting y.x: the relation x.y - y.x sends it to x.y.  Vectors are
+# sparse dicts {word index: coefficient}.
+out = op.apply({basis.index((1, 0)): QQ.one})
 terms = ["%s %s" % (c, basis.label(w, names))
-         for w, c in enumerate(out) if c]
+         for w, c in sorted(out.items())]
 print("S(y.x) =", " + ".join(terms))
 print()
 

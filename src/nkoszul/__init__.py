@@ -13,7 +13,8 @@ from .algebra import (GradedElement, Morphism, NHomogeneousAlgebra, bullet,
                       veronese_dims)
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
 from .fields import GF, QQ, PrimeField, RationalField, field_from_name
-from .linalg import Matrix, Subspace, kernel, rank, rref
+from .linalg import Subspace, rank, rref
+from .sparsela import SparseMatrix
 from .koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                      KoszulElement, KoszulVerdict,
                      LComplexSlice, NComplexSlice, convolution_check,

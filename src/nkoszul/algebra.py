@@ -42,8 +42,8 @@ from collections import namedtuple
 
 from .errors import ContractViolation, DimensionMismatch
 from .fields import QQ
-from .linalg import Matrix, Subspace, rank
-from .sparsela import (Eliminator, apply_cols, modulus,
+from .linalg import Subspace, rank
+from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
                        over_common_denominator, primitive_row, settled,
                        transpose_cols)
 from .words import (annihilator, index_word, interleave_subspace,
@@ -429,7 +429,7 @@ def _transported_rows(algebra, matrix):
     power of the matrix's target space.
     """
     g, N, height = algebra.dim_e, algebra.N, matrix.nrows
-    cols = matrix.columns()
+    cols = matrix.cols
     images = []
     for rel in algebra.relations.rows:
         image = {}
@@ -461,14 +461,18 @@ def is_morphism(source, target, matrix):
 
 
 class Morphism:
-    """A relation-preserving linear map between generator spaces."""
+    """A relation-preserving linear map between generator spaces.
+
+    ``matrix`` is a ``SparseMatrix`` whose column j is the image of
+    generator j; the constructor also takes it as a list of dense rows.
+    """
 
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source, target, matrix):
         if isinstance(matrix, (list, tuple)):
-            matrix = Matrix.from_rows(source.field, matrix,
-                                      ncols=source.dim_e)
+            matrix = SparseMatrix.from_rows(source.field, matrix,
+                                            ncols=source.dim_e)
         if not is_morphism(source, target, matrix):
             raise DimensionMismatch(
                 "map does not send relations into relations")
@@ -481,7 +485,7 @@ class Morphism:
         # the identity sends R onto R: no relation check to run
         ident = cls.__new__(cls)
         ident.source = ident.target = algebra
-        ident.matrix = Matrix.identity(algebra.field, algebra.dim_e)
+        ident.matrix = SparseMatrix.identity(algebra.field, algebra.dim_e)
         return ident
 
     def relations_image(self):

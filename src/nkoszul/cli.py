@@ -220,21 +220,19 @@ def _run(args):
     elif cmdname == "reduce":
         op = reduction_operator(A.relations, A.N)
         defn = defns[0]
-        leading = [_word_name(defn, index_word(w, A.dim_e, A.N))
-                   for w in op.leading_words]
+
+        def name(w):
+            return _word_name(defn, index_word(w, A.dim_e, A.N))
+
         report.add("relations", A.relations.dim)
-        report.add("leading_words", leading)
-        report.add("image_dim", len(op.image_words()))
-        mat = op.S
+        report.add("leading_words", [name(w) for w in op.leading_words])
+        report.add("image_dim",
+                   A.relations.ambient_dim - len(op.leading_words))
         for w in op.leading_words:
-            terms = []
-            for i in range(mat.nrows):
-                c = mat.rows[i][w]
-                if c:
-                    terms.append("%s*%s" % (
-                        c, _word_name(defn, index_word(i, A.dim_e, A.N))))
-            name = _word_name(defn, index_word(w, A.dim_e, A.N))
-            report.add("rewrite %s" % name, " + ".join(terms) if terms else "0")
+            terms = ["%s*%s" % (c, name(i))
+                     for i, c in sorted(op.rewrites[w].items())]
+            report.add("rewrite %s" % name(w),
+                       " + ".join(terms) if terms else "0")
     return report
 
 

@@ -42,7 +42,6 @@ from collections import namedtuple
 
 from .algebra import GradedElement, Morphism, circ
 from .errors import ContractViolation, DimensionMismatch
-from .linalg import Matrix
 from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
                        over_common_denominator, settled, transpose_cols)
 
@@ -102,7 +101,7 @@ class _KoszulSlice:
         self.bang = self.source.dual()
         self._p = modulus(self.field)
         self._identity = (self.source is self.target
-                          and morphism.matrix == Matrix.identity(
+                          and morphism.matrix == SparseMatrix.identity(
                               self.field, self.source.dim_e))
         self._twists = {}
         self._ops = {}
@@ -137,7 +136,7 @@ class _KoszulSlice:
                 # f(x_letter) = sum_j c_j x_j, so its column at src is
                 # sum_j c_j * cols[j][src]
                 (fcols,), fscale = over_common_denominator(
-                    self.field, [self.morphism.matrix.columns()])
+                    self.field, [self.morphism.matrix.cols])
                 by_src = list(zip(*cols))
                 cols = [[apply_cols(self._p, at_src, fcol)
                          for at_src in by_src] for fcol in fcols]
@@ -725,9 +724,9 @@ class KoszulElement:
         field = morphism.source.field
         g, gp = morphism.source.dim_e, morphism.target.dim_e
         coords = [field.zero] * (g * gp)
-        for letter in range(g):
-            for j in range(gp):
-                coords[letter * gp + j] = morphism.matrix.rows[j][letter]
+        for letter, col in enumerate(morphism.matrix.cols):
+            for j, c in col.items():
+                coords[letter * gp + j] = c
         self.element = GradedElement(1, tuple(coords))
 
     def power_is_zero(self):
@@ -761,7 +760,7 @@ class GradedMap:
 
     @classmethod
     def from_morphism(cls, morphism):
-        return cls({1: morphism.matrix.columns()})
+        return cls({1: morphism.matrix.cols})
 
 
 def _block_offsets(target, bang, t):
@@ -874,11 +873,6 @@ class ConvolutionContext:
         return SparseMatrix(field, offsets[-1], offsets[-1], cols)
 
 
-def _sparse_equal(a, b):
-    return (a.nrows == b.nrows and a.ncols == b.ncols
-            and all(ca == cb for ca, cb in zip(a.cols, b.cols)))
-
-
 def convolution_check(source, target, morphism, m_max, samples=20, seed=0):
     """Coherence of the convolution structure with the complex differentials.
 
@@ -895,7 +889,7 @@ def convolution_check(source, target, morphism, m_max, samples=20, seed=0):
         return False
     for t in range(m_max + 1):
         dmat = ctx.d_alpha_matrix(alpha, t)
-        if not _sparse_equal(dmat, _k_differential_total(morphism, t)):
+        if dmat != _k_differential_total(morphism, t):
             return False
     rng = random.Random(seed)
     for _ in range(samples):
@@ -905,7 +899,7 @@ def convolution_check(source, target, morphism, m_max, samples=20, seed=0):
         da = ctx.d_alpha_matrix(a, t)
         db = ctx.d_alpha_matrix(b, t)
         dab = ctx.d_alpha_matrix(ctx.convolve(a, b, t), t)
-        if not _sparse_equal(da.compose(db), dab):
+        if da.compose(db) != dab:
             return False
     return True
 

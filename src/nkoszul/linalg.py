@@ -5,109 +5,13 @@ spanning set, as sparse rows {column: scalar} (zero rows dropped, pivots
 on the leftmost possible columns), so two subspaces are equal iff their
 pivots and rows are equal.  The canonical forms come from
 ``sparsela.Eliminator``, the package's one elimination kernel: ``rref``
-feeds it sparse rows and reads back its finalized rows.  ``Matrix`` is a
-dense matrix, the type of the linear maps: morphisms on generators and
-reduction operators.
+feeds it sparse rows and reads back its finalized rows.  A linear map is
+a ``sparsela.SparseMatrix`` of sparse columns, which ``rank`` takes as it
+is.
 """
 
 from .errors import DimensionMismatch
 from .sparsela import Eliminator, apply_cols, modulus
-
-
-class Matrix:
-    """Dense matrix with entries in a fixed field."""
-
-    __slots__ = ("field", "nrows", "ncols", "rows")
-
-    def __init__(self, field, nrows, ncols, rows):
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = rows
-
-    @classmethod
-    def from_rows(cls, field, rows, ncols=None):
-        rows = [[field.coerce(x) for x in row] for row in rows]
-        if ncols is None:
-            if not rows:
-                raise DimensionMismatch("empty matrix needs an explicit width")
-            ncols = len(rows[0])
-        for row in rows:
-            if len(row) != ncols:
-                raise DimensionMismatch("row width != ncols")
-        return cls(field, len(rows), ncols, rows)
-
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
-
-    def transpose(self):
-        rows = [[self.rows[i][j] for i in range(self.nrows)]
-                for j in range(self.ncols)]
-        return Matrix(self.field, self.ncols, self.nrows, rows)
-
-    def mul(self, other):
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("matrix product shape mismatch")
-        f = self.field
-        zero = f.zero
-        out = []
-        bt = other.transpose().rows
-        for row in self.rows:
-            new = []
-            for col in bt:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                new.append(acc)
-            out.append(new)
-        return Matrix(f, self.nrows, other.ncols, out)
-
-    def apply(self, vec):
-        """Matrix times column vector, given and returned as a list."""
-        if len(vec) != self.ncols:
-            raise DimensionMismatch("vector length != ncols")
-        f = self.field
-        vec = [f.coerce(x) for x in vec]
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, b in zip(row, vec):
-                if a and b:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return out
-
-    def columns(self):
-        """The columns as sparse dicts {row: nonzero entry}."""
-        return [{i: row[j] for i, row in enumerate(self.rows) if row[j]}
-                for j in range(self.ncols)]
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols,
-                     tuple(tuple(r) for r in self.rows)))
-
-    def __repr__(self):
-        return "Matrix(%d x %d over %r)" % (self.nrows, self.ncols, self.field)
-
-
-def _sparse_rows(matrix):
-    """The rows of a dense matrix as sparse dicts without zeros."""
-    return [{j: v for j, v in enumerate(row) if v} for row in matrix.rows]
 
 
 def rref(field, rows):
@@ -126,10 +30,13 @@ def rref(field, rows):
 
 
 def rank(matrix):
-    """Rank, read from the forward elimination without back-substituting."""
+    """Rank of a ``SparseMatrix``, from eliminating its columns.
+
+    It is read from the forward elimination, without back-substituting.
+    """
     elim = Eliminator(matrix.field)
-    for row in _sparse_rows(matrix):
-        elim.add(row)
+    for col in matrix.cols:
+        elim.add(col)
     return elim.rank
 
 
@@ -223,8 +130,3 @@ def null_space(subspace):
     return Subspace.from_vectors(field, subspace.ambient_dim,
                                  vectors.values())
 
-
-def kernel(matrix):
-    """Kernel of a matrix acting on columns: the null space of its rows."""
-    return null_space(Subspace.from_vectors(matrix.field, matrix.ncols,
-                                            _sparse_rows(matrix)))

@@ -5,37 +5,46 @@ words outside the leading-word set of R and rewrites each leading word
 into strictly lexicographically smaller ones, with Ker S = R.  Pivoting
 here runs over DESCENDING lex word order (pivot = greatest word of each
 relation) -- the opposite of the linear-algebra default -- because
-rewrites must decrease words.
+rewrites must decrease words.  S is held as its rewrites alone, so its
+cost follows dim R and the rewrites' sizes, never dim E^(x)n.
 """
 
 from collections import namedtuple
 
 from .errors import ContractViolation, DimensionMismatch
-from .linalg import Matrix, Subspace, kernel
-from .sparsela import Eliminator
+from .linalg import Subspace
+from .sparsela import Eliminator, apply_cols, modulus
 from .words import block_embed, index_word, word_index
 
 
 class ReductionOperator:
-    """Idempotent rewrite operator attached to a relation subspace."""
+    """Idempotent rewrite operator attached to a relation subspace.
 
-    def __init__(self, n, operator, leading_words, relations):
+    ``rewrites`` maps each leading word to its image under S, a sparse
+    column {word: scalar} of strictly smaller words; S fixes every other
+    word.
+    """
+
+    def __init__(self, n, rewrites, relations):
         self.n = n
-        self.S = operator
-        self.leading_words = leading_words
+        self.rewrites = rewrites
+        self.leading_words = sorted(rewrites)
         self.relations = relations
 
     def apply(self, vector):
-        return self.S.apply(vector)
+        """S applied to a sparse vector {word: scalar}, as a new dict."""
+        one = self.relations.field.one
+        cols = {w: self.rewrites.get(w, {w: one}) for w in vector}
+        return apply_cols(modulus(self.relations.field), cols, vector)
 
     def image_words(self):
         """The words fixed by S; they span Im(S)."""
-        lead = set(self.leading_words)
-        return [w for w in range(self.S.ncols) if w not in lead]
+        return [w for w in range(self.relations.ambient_dim)
+                if w not in self.rewrites]
 
     def __repr__(self):
         return "ReductionOperator(n=%d, leading=%r)" % (
-            self.n, list(self.leading_words))
+            self.n, self.leading_words)
 
 
 def _descending_rref(relations):
@@ -56,29 +65,27 @@ def _descending_rref(relations):
 
 
 def reduction_operator(relations, word_length):
-    """Build S from R, then verify idempotence, descent and Ker S = R."""
+    """Build S from R, then verify descent, idempotence and Ker S = R."""
     field = relations.field
-    amb = relations.ambient_dim
-    reduced = _descending_rref(relations)
-    mat = Matrix.identity(field, amb)
-    for lead, row in reduced.items():
-        # S sends the leading word to minus the rest of its relation
-        for w, c in row.items():
-            mat.rows[w][lead] = field.neg(c)
-        mat.rows[lead][lead] = field.zero
-    for a in range(amb):
-        col = [mat.rows[i][a] for i in range(amb)]
-        if a in reduced:
-            if any(col[w] for w in range(a, amb)):
-                raise ContractViolation("rewrite of word %d does not descend" % a)
-        else:
-            if any(col[w] for w in range(amb) if w != a) or col[a] != field.one:
-                raise ContractViolation("word %d should be fixed" % a)
-    if mat.mul(mat) != mat:
+    # S sends each leading word to minus the rest of its relation
+    rewrites = {lead: {w: field.neg(c) for w, c in row.items() if w != lead}
+                for lead, row in _descending_rref(relations).items()}
+    for lead, col in rewrites.items():
+        if any(w >= lead for w in col):
+            raise ContractViolation(
+                "rewrite of word %d does not descend" % lead)
+    op = ReductionOperator(word_length, rewrites, relations)
+    if any(op.apply(col) != col for col in rewrites.values()):
         raise ContractViolation("operator is not idempotent")
-    if kernel(mat) != relations:
+    # S is idempotent, so Ker S = Im(1 - S), spanned by e_a - S(e_a)
+    # over the leading words a (the other words give 0)
+    kernel = Subspace.from_vectors(
+        field, relations.ambient_dim,
+        [{lead: field.one, **{w: field.neg(c) for w, c in col.items()}}
+         for lead, col in rewrites.items()])
+    if kernel != relations:
         raise ContractViolation("kernel differs from the relation space")
-    return ReductionOperator(word_length, mat, sorted(reduced), relations)
+    return op
 
 
 Lemma3Result = namedtuple("Lemma3Result", ["equal", "conclusion"])

@@ -10,7 +10,8 @@ import random
 
 from .algebra import Morphism, NHomogeneousAlgebra, _transported_relations
 from .fields import QQ
-from .linalg import Matrix, Subspace, rank
+from .linalg import Subspace, rank
+from .sparsela import SparseMatrix
 
 
 def rng_from_seed(seed):
@@ -45,7 +46,7 @@ def random_invertible_matrix(field, size, rng, span=3):
     while True:
         rows = [[rng.randint(-span, span) for _ in range(size)]
                 for _ in range(size)]
-        mat = Matrix.from_rows(field, rows)
+        mat = SparseMatrix.from_rows(field, rows)
         if rank(mat) == size:
             return mat
 
@@ -67,7 +68,7 @@ def random_rank_deficient_morphism(algebra, rng, span=3):
     g = algebra.dim_e
     while True:
         rows = [[rng.randint(-span, span) for _ in range(g)] for _ in range(g)]
-        sq = Matrix.from_rows(algebra.field, rows)
+        sq = SparseMatrix.from_rows(algebra.field, rows)
         if rank(sq) < g:
             break
     return Morphism(algebra, transported_algebra(algebra, sq), sq)

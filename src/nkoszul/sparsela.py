@@ -294,15 +294,40 @@ class Eliminator:
 
 
 class SparseMatrix:
-    """Column-major sparse matrix: cols[j] = {row index: scalar}."""
+    """Column-major sparse matrix: cols[j] = {row index: nonzero scalar}.
+
+    The package's one matrix type: morphisms on generators, the complex
+    differentials and the convolution operators.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "cols")
 
-    def __init__(self, field, nrows, ncols, cols=None):
+    def __init__(self, field, nrows, ncols, cols):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.cols = cols if cols is not None else [{} for _ in range(ncols)]
+        self.cols = cols
+
+    @classmethod
+    def from_rows(cls, field, rows, ncols=None):
+        """The matrix with the given dense rows, scalars coerced into field."""
+        if ncols is None:
+            if not rows:
+                raise DimensionMismatch("empty matrix needs an explicit width")
+            ncols = len(rows[0])
+        cols = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            if len(row) != ncols:
+                raise DimensionMismatch("row width != ncols")
+            for j, x in enumerate(row):
+                x = field.coerce(x)
+                if x:
+                    cols[j][i] = x
+        return cls(field, len(rows), ncols, cols)
+
+    @classmethod
+    def identity(cls, field, n):
+        return cls(field, n, n, [{j: field.one} for j in range(n)])
 
     def apply(self, vec):
         """Apply to a sparse vector dict, returning a new dict."""
@@ -314,6 +339,11 @@ class SparseMatrix:
             raise DimensionMismatch("sparse composition shape mismatch")
         out = [self.apply(col) for col in other.cols]
         return SparseMatrix(self.field, self.nrows, other.ncols, out)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseMatrix) and self.field == other.field
+                and self.nrows == other.nrows and self.ncols == other.ncols
+                and self.cols == other.cols)
 
     def __repr__(self):
         return "SparseMatrix(%d x %d over %r)" % (

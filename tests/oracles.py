@@ -1,7 +1,7 @@
 """Slow reference computations that tests compare the library against."""
 
 from nkoszul.errors import DimensionMismatch
-from nkoszul.linalg import Matrix, Subspace, kernel
+from nkoszul.linalg import Subspace, null_space
 from nkoszul.words import index_word, interleaving_permutation
 
 
@@ -22,6 +22,88 @@ def dense_rows(subspace):
     return out
 
 
+class DenseMatrix:
+    """Dense matrix with entries in a fixed field, acting on columns."""
+
+    def __init__(self, field, nrows, ncols, rows):
+        self.field = field
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = rows
+
+    @classmethod
+    def zeros(cls, field, nrows, ncols):
+        z = field.zero
+        return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+
+    @classmethod
+    def identity(cls, field, n):
+        m = cls.zeros(field, n, n)
+        for i in range(n):
+            m.rows[i][i] = field.one
+        return m
+
+    @classmethod
+    def from_sparse(cls, matrix):
+        """The dense form of a ``SparseMatrix``."""
+        m = cls.zeros(matrix.field, matrix.nrows, matrix.ncols)
+        for j, col in enumerate(matrix.cols):
+            for i, v in col.items():
+                m.rows[i][j] = v
+        return m
+
+    def transpose(self):
+        rows = [[self.rows[i][j] for i in range(self.nrows)]
+                for j in range(self.ncols)]
+        return DenseMatrix(self.field, self.ncols, self.nrows, rows)
+
+    def mul(self, other):
+        if self.ncols != other.nrows:
+            raise DimensionMismatch("matrix product shape mismatch")
+        f = self.field
+        bt = other.transpose().rows
+        out = []
+        for row in self.rows:
+            new = []
+            for col in bt:
+                acc = f.zero
+                for a, b in zip(row, col):
+                    if a and b:
+                        acc = f.add(acc, f.mul(a, b))
+                new.append(acc)
+            out.append(new)
+        return DenseMatrix(f, self.nrows, other.ncols, out)
+
+    def apply(self, vec):
+        """Matrix times a column vector, given and returned as a list."""
+        return [row[0] for row in self.mul(DenseMatrix(
+            self.field, len(vec), 1, [[v] for v in vec])).rows]
+
+    def kernel(self):
+        """The null space of the rows, as a ``Subspace``."""
+        return null_space(Subspace.from_vectors(self.field, self.ncols,
+                                                sparse_rows(self.rows)))
+
+    def __eq__(self, other):
+        return (isinstance(other, DenseMatrix) and self.field == other.field
+                and self.nrows == other.nrows and self.ncols == other.ncols
+                and self.rows == other.rows)
+
+
+def operator_matrix(op):
+    """The dense matrix of a reduction operator S on all of E^(x)n.
+
+    It is the identity except in the columns of the leading words, which
+    hold their rewrites.
+    """
+    m = DenseMatrix.identity(op.relations.field, op.relations.ambient_dim)
+    for lead, col in op.rewrites.items():
+        m.rows[lead][lead] = m.field.zero
+        for i, v in col.items():
+            m.rows[i][lead] = v
+    return m
+
+
 def kron(a, b):
     """Kronecker product of dense matrices; row (i,k) col (j,l) is a_ij*b_kl."""
     f = a.field
@@ -35,20 +117,23 @@ def kron(a, b):
                 else:
                     row.extend([f.zero] * b.ncols)
             rows.append(row)
-    return Matrix(f, a.nrows * b.nrows, a.ncols * b.ncols, rows)
+    return DenseMatrix(f, a.nrows * b.nrows, a.ncols * b.ncols, rows)
 
 
 def kron_power(matrix, k):
     """The k-th Kronecker power of a dense matrix."""
-    power = Matrix.identity(matrix.field, 1)
+    power = DenseMatrix.identity(matrix.field, 1)
     for _ in range(k):
         power = kron(power, matrix)
     return power
 
 
 def reference_transported_relations(algebra, matrix):
-    """Image of the relations under the dense N-th Kronecker power of matrix."""
-    power = kron_power(matrix, algebra.N)
+    """Image of the relations under the dense N-th Kronecker power of matrix.
+
+    matrix is a ``SparseMatrix``, as a morphism holds it.
+    """
+    power = kron_power(DenseMatrix.from_sparse(matrix), algebra.N)
     images = [power.apply(row) for row in dense_rows(algebra.relations)]
     return Subspace.from_vectors(algebra.field, power.nrows,
                                  sparse_rows(images))
@@ -62,7 +147,7 @@ def shuffle_map(field, n_blocks, dim_a, dim_b):
     """
     perm = interleaving_permutation(n_blocks, dim_a, dim_b)
     total = len(perm)
-    mat = Matrix.zeros(field, total, total)
+    mat = DenseMatrix.zeros(field, total, total)
     for sep, inter in enumerate(perm):
         mat.rows[sep][inter] = field.one
     return mat
@@ -121,7 +206,7 @@ def subspace_intersect(a, b):
         row = [a_rows[i][j] for i in range(da)]
         row += [f.neg(b_rows[i][j]) for i in range(db)]
         rows.append(row)
-    ker = kernel(Matrix.from_rows(f, rows, ncols=da + db))
+    ker = DenseMatrix(f, len(rows), da + db, rows).kernel()
     vectors = []
     for coeffs in dense_rows(ker):
         vec = [f.zero] * a.ambient_dim

@@ -18,14 +18,14 @@ from nkoszul.koszul import (ContractedComplex, convolution_check,
                             generalized_homology, koszul_K, koszul_L,
                             koszulity_check, lemma2_check, slice_acyclic,
                             tor_purity)
-from nkoszul.linalg import Matrix, Subspace
+from nkoszul.linalg import Subspace
 from nkoszul.reduction import lemma3_check, reduction_operator
 from nkoszul.sampling import (random_algebra, random_full_rank_non_isomorphism,
                               random_isomorphism,
                               random_rank_deficient_morphism, random_subspace,
                               rng_from_seed)
 from nkoszul.words import block_embed
-from oracles import kron
+from oracles import DenseMatrix, kron, operator_matrix
 
 
 def _verdict(number, ok):
@@ -292,7 +292,8 @@ def test_monomial_dichotomy_and_reduction_operators():
                         ok = False
                 op = reduction_operator(R, N)
                 big = reduction_operator(block_embed(R, 2, 0, 1), N + 1)
-                if kron(op.S, Matrix.identity(QQ, 2)) != big.S:
+                if (kron(operator_matrix(op), DenseMatrix.identity(QQ, 2))
+                        != operator_matrix(big)):
                     ok = False
     rng = rng_from_seed(8)
     tries = 0
@@ -308,7 +309,8 @@ def test_monomial_dichotomy_and_reduction_operators():
             ok = False
         op = reduction_operator(R, N)
         big = reduction_operator(block_embed(R, 2, 0, r), N + r)
-        if kron(op.S, Matrix.identity(QQ, 2 ** r)) != big.S:
+        if (kron(operator_matrix(op), DenseMatrix.identity(QQ, 2 ** r))
+                != operator_matrix(big)):
             ok = False
     _verdict(8, ok)
 

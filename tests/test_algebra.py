@@ -11,17 +11,17 @@ from nkoszul.algebra import (GradedElement, Morphism, NHomogeneousAlgebra,
                              veronese_dims)
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
-from nkoszul.linalg import Matrix, Subspace
+from nkoszul.linalg import Subspace
 from nkoszul.sampling import (random_algebra,
                               random_full_rank_non_isomorphism,
                               random_isomorphism,
                               random_rank_deficient_morphism,
                               random_subspace, rng_from_seed)
-from nkoszul.sparsela import Eliminator, primitive_row
+from nkoszul.sparsela import Eliminator, SparseMatrix, primitive_row
 from nkoszul.words import index_word
-from oracles import (component_relations, dense_rows, kron_power,
-                     reference_transported_relations, row_axpy, sparse_rows,
-                     word_class)
+from oracles import (DenseMatrix, component_relations, dense_rows,
+                     kron_power, reference_transported_relations, row_axpy,
+                     sparse_rows, word_class)
 
 
 def commutator_algebra():
@@ -191,8 +191,8 @@ def test_mod_p_agreement():
 def test_is_morphism_and_identity():
     A = commutator_algebra()
     T = free_algebra(2, 2)
-    ident = Matrix.identity(QQ, 2)
-    swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+    ident = SparseMatrix.identity(QQ, 2)
+    swap = SparseMatrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert is_morphism(A, A, ident)
     assert is_morphism(A, A, swap)            # swap preserves R
     assert is_morphism(T, A, ident)           # 0 lands anywhere
@@ -209,7 +209,7 @@ def test_identity_is_a_morphism():
             A = random_algebra(g, N, rng, field=field, span=9)
             ident = Morphism.identity(A)
             assert ident.source is A and ident.target is A
-            assert ident.matrix == Matrix.identity(field, g)
+            assert ident.matrix == SparseMatrix.identity(field, g)
             assert is_morphism(A, A, ident.matrix)
 
 
@@ -225,7 +225,7 @@ def test_morphism_tensor_power():
     # power of the map applied to the dense relation rows
     A = commutator_algebra()
     f = Morphism(A, A, [[1, 1], [0, 1]])    # f(y) = x + y
-    sq = kron_power(f.matrix, 2)
+    sq = kron_power(DenseMatrix.from_sparse(f.matrix), 2)
     assert sq.ncols == 4 and sq.nrows == 4
     # (x+y) (x) (x+y) has coefficient 1 at every word of {x,y}^2
     col = [sq.rows[i][3] for i in range(4)]
@@ -243,7 +243,7 @@ def test_morphism_tensor_power():
 
     # the non-morphism of test_morphism_rejects_bad_map, and one that
     # sends x.y - y.x into R but x.x outside it
-    ident = Matrix.identity(QQ, 2)
+    ident = SparseMatrix.identity(QQ, 2)
     assert not agrees(A, free_algebra(2, 2), ident)
     wider = Subspace.from_vectors(QQ, 4, [{1: 1, 2: -1}, {0: 1}])
     assert not agrees(NHomogeneousAlgebra(2, 2, wider), A, ident)

@@ -129,18 +129,22 @@ def test_cli_hilbert(defs):
 
 def test_cli_hilbert_of_a_degree_40_definition_in_1_gib(tmp_path):
     # R lies in a word space of dimension 2^40, but the tower through
-    # degree 3 never reaches degree 40: parsing must not touch that space
+    # degree 3 never reaches degree 40: parsing must not touch that space,
+    # and neither must the reduction operator, which stores one rewrite
     path = tmp_path / "deg40.alg"
-    path.write_text("generators x y\ndegree 40\nrelation %s - y.%s\n"
-                    % (".".join("x" * 40), ".".join("x" * 39)))
+    lead, words = "y." + ".".join("x" * 39), ".".join("x" * 40)
+    path.write_text("generators x y\ndegree 40\nrelation %s - %s\n"
+                    % (words, lead))
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    res = run_cli(["hilbert", "--nmax", "3"], [path],
-                  preexec_fn=cap_address_space, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert "dims: 1 2 4 8" in res.stdout
+    for args, line in ((["hilbert", "--nmax", "3"], "dims: 1 2 4 8"),
+                       (["reduce"], "rewrite %s: 1*%s" % (lead, words))):
+        res = run_cli(args, [path], preexec_fn=cap_address_space,
+                      timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert line in res.stdout.splitlines()
 
 
 def test_cli_dual_of_free_line(defs):

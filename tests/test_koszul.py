@@ -19,10 +19,10 @@ from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             koszulity_check, kron_sum_apply, lemma2_check,
                             slice_acyclic, tor_dims, tor_pure_degree,
                             tor_purity, verdict_string)
-from nkoszul.linalg import Matrix, Subspace, rank
+from nkoszul.linalg import Subspace, rank
 from nkoszul.sampling import (random_algebra, random_isomorphism,
                               rng_from_seed, transported_algebra)
-from nkoszul.sparsela import Eliminator
+from nkoszul.sparsela import Eliminator, SparseMatrix
 from nkoszul.words import block_embed
 from oracles import dual_component, sparse_rows, subspace_intersect
 
@@ -73,9 +73,10 @@ def _twisted_inputs():
     f = random_isomorphism(B, rng)
     assert f.target is not f.source
     # an isomorphism with fractional entries: its integer twist has scale 12
-    mat = Matrix.from_rows(QQ, [[Fraction(1, 2), Fraction(1, 3)],
-                                [Fraction(-2, 3), Fraction(3, 4)]])
-    h = Morphism(B, transported_algebra(B, mat), [list(r) for r in mat.rows])
+    rows = [[Fraction(1, 2), Fraction(1, 3)],
+            [Fraction(-2, 3), Fraction(3, 4)]]
+    h = Morphism(B, transported_algebra(B, SparseMatrix.from_rows(QQ, rows)),
+                 rows)
     assert koszul_K(h, 1)._twisted("rmul", 1)[1] == 12
     return [Morphism.identity(commutator_algebra()), Morphism.identity(B), f,
             h]
@@ -157,14 +158,6 @@ def test_kron_sum_apply_matches_dense_oracle():
     assert vanished > 5
 
 
-def _dense(mat):
-    rows = [[QQ.zero] * mat.ncols for _ in range(mat.nrows)]
-    for j, col in enumerate(mat.cols):
-        for i, v in col.items():
-            rows[i][j] = v
-    return Matrix(QQ, mat.nrows, mat.ncols, rows)
-
-
 def test_rank_power_matches_composed_differentials():
     for morphism in _twisted_inputs():
         N = morphism.source.N
@@ -177,8 +170,7 @@ def test_rank_power_matches_composed_differentials():
                         mat = sl.differential(k)
                         for step in range(1, e):
                             mat = sl.differential(k + step).compose(mat)
-                        if mat.nrows and mat.ncols:
-                            expected = rank(_dense(mat))
+                        expected = rank(mat)
                     assert sl.rank_power(k, e) == expected
                     assert sl.rank_power(k, e) == expected   # cached
 
@@ -696,7 +688,7 @@ def test_convolution_composition_order():
     A = commutator_algebra()
     ctx = ConvolutionContext(A, A)
     rng = rng_from_seed(31)
-    from nkoszul.koszul import _random_graded_map, _sparse_equal
+    from nkoszul.koszul import _random_graded_map
     for _ in range(5):
         a = _random_graded_map(ctx, 4, rng)
         b = _random_graded_map(ctx, 4, rng)
@@ -704,7 +696,7 @@ def test_convolution_composition_order():
         da = ctx.d_alpha_matrix(a, t)
         db = ctx.d_alpha_matrix(b, t)
         dab = ctx.d_alpha_matrix(ctx.convolve(a, b, t), t)
-        assert _sparse_equal(da.compose(db), dab)
+        assert da.compose(db) == dab
 
 
 def test_L_chains_of_truncated_algebra():

@@ -1,12 +1,14 @@
-"""Exact linear algebra: sparse RREF, ranks, kernels, subspace lattice."""
+"""Exact linear algebra: sparse RREF, ranks, null spaces, subspace lattice,
+and the sparse matrix type."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
-from nkoszul.linalg import Matrix, Subspace, kernel, rank, rref
-from oracles import dense_rows, sparse_rows, subspace_intersect
+from nkoszul.linalg import Subspace, null_space, rank, rref
+from nkoszul.sparsela import SparseMatrix
+from oracles import sparse_rows, subspace_intersect
 
 
 def subspace_sum(a, b):
@@ -36,20 +38,28 @@ def test_rref_fractions_stay_exact():
     assert pivots == (0,)
 
 
+def kernel(rows, ncols):
+    """The null space of dense rows."""
+    return null_space(Subspace.from_vectors(QQ, ncols, sparse_rows(rows)))
+
+
 def test_kernel_image_frozen():
-    f = Matrix.from_rows(QQ, [[1, 0, 1], [0, 1, 1]])
-    ker = kernel(f)
+    rows = [[1, 0, 1], [0, 1, 1]]
+    ker = kernel(rows, 3)
     assert ker.dim == 1
     assert ker.contains_vector({0: 1, 1: 1, 2: -1})
-    assert rank(f) == 2
+    assert rank(SparseMatrix.from_rows(QQ, rows)) == 2
 
 
 def test_matrix_multiply_and_apply():
-    a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
-    b = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
-    prod = a.mul(b)
-    assert [list(r) for r in prod.rows] == [[2, 1], [4, 3]]
-    assert a.apply([1, 1]) == [QQ.coerce(3), QQ.coerce(7)]
+    a = SparseMatrix.from_rows(QQ, [[1, 2], [3, 4]])
+    b = SparseMatrix.from_rows(QQ, [[0, 1], [1, 0]])
+    assert a.compose(b) == SparseMatrix.from_rows(QQ, [[2, 1], [4, 3]])
+    assert a.apply({0: QQ.one, 1: QQ.one}) == {0: 3, 1: 7}
+    assert SparseMatrix.identity(GF(7), 2) == SparseMatrix.from_rows(
+        GF(7), [[8, 7], [0, 1]])
+    assert a != SparseMatrix.from_rows(GF(7), [[1, 2], [3, 4]])
+    assert a != b
 
 
 def test_subspace_lattice_frozen():
@@ -69,18 +79,20 @@ def test_subspace_equality_is_canonical():
 
 def test_dimension_validation():
     with pytest.raises(DimensionMismatch):
-        Matrix.from_rows(QQ, [[1, 2], [1]])
-    a = Matrix.from_rows(QQ, [[1, 2]])
-    b = Matrix.from_rows(QQ, [[1, 2]])
+        SparseMatrix.from_rows(QQ, [[1, 2], [1]])
+    a = SparseMatrix.from_rows(QQ, [[1, 2]])
+    b = SparseMatrix.from_rows(QQ, [[1, 2]])
     with pytest.raises(DimensionMismatch):
-        a.mul(b)
+        a.compose(b)
 
 
 def test_explicit_width_must_match_the_rows():
     with pytest.raises(DimensionMismatch):
-        Matrix.from_rows(QQ, [[1, 2]], ncols=3)
-    assert Matrix.from_rows(QQ, [[1, 2]], ncols=2).ncols == 2
-    assert Matrix.from_rows(QQ, [], ncols=3).ncols == 3
+        SparseMatrix.from_rows(QQ, [[1, 2]], ncols=3)
+    with pytest.raises(DimensionMismatch):
+        SparseMatrix.from_rows(QQ, [])
+    assert SparseMatrix.from_rows(QQ, [[1, 2]], ncols=2).ncols == 2
+    assert SparseMatrix.from_rows(QQ, [], ncols=3).ncols == 3
 
 
 def test_coordinates_must_lie_in_the_ambient_space():
@@ -103,31 +115,33 @@ small = st.integers(min_value=-6, max_value=6)
 
 @st.composite
 def qq_matrix(draw, max_side=5):
+    """Dense integer rows of an n x m matrix."""
     n = draw(st.integers(min_value=1, max_value=max_side))
     m = draw(st.integers(min_value=1, max_value=max_side))
-    rows = draw(st.lists(
+    return draw(st.lists(
         st.lists(small, min_size=m, max_size=m), min_size=n, max_size=n))
-    return Matrix.from_rows(QQ, rows)
 
 
 @given(qq_matrix())
 @settings(max_examples=60, deadline=None)
-def test_rank_nullity(mat):
-    assert kernel(mat).dim + rank(mat) == mat.ncols
-    # rank reads the forward elimination; rref back-substitutes
+def test_rank_nullity(rows):
+    ncols = len(rows[0])
+    assert kernel(rows, ncols).dim + rank(
+        SparseMatrix.from_rows(QQ, rows)) == ncols
+    # rank eliminates the columns; rref back-substitutes the rows
     for field in (QQ, GF(7)):
-        m = Matrix.from_rows(field, mat.rows)
-        rows = [{j: field.coerce(v) for j, v in row.items()}
-                for row in sparse_rows(mat.rows)]
-        assert rank(m) == len(rref(field, rows)[1])
+        m = SparseMatrix.from_rows(field, rows)
+        sparse = [{j: field.coerce(v) for j, v in row.items()}
+                  for row in sparse_rows(rows)]
+        assert rank(m) == len(rref(field, sparse)[1])
 
 
 @given(qq_matrix(max_side=4), qq_matrix(max_side=4))
 @settings(max_examples=40, deadline=None)
 def test_grassmann_identity(a, b):
-    amb = max(a.ncols, b.ncols)
-    U = Subspace.from_vectors(QQ, amb, sparse_rows(a.rows))
-    V = Subspace.from_vectors(QQ, amb, sparse_rows(b.rows))
+    amb = max(len(a[0]), len(b[0]))
+    U = Subspace.from_vectors(QQ, amb, sparse_rows(a))
+    V = Subspace.from_vectors(QQ, amb, sparse_rows(b))
     both = subspace_intersect(U, V)
     total = subspace_sum(U, V)
     assert U.dim + V.dim == both.dim + total.dim
@@ -135,15 +149,14 @@ def test_grassmann_identity(a, b):
 
 @given(qq_matrix())
 @settings(max_examples=40, deadline=None)
-def test_rref_is_idempotent(mat):
-    red, pivots = rref(QQ, sparse_rows(mat.rows))
+def test_rref_is_idempotent(rows):
+    red, pivots = rref(QQ, sparse_rows(rows))
     assert rref(QQ, red) == (red, pivots)
 
 
 @given(qq_matrix())
 @settings(max_examples=40, deadline=None)
-def test_kernel_vectors_map_to_zero(mat):
-    ker = kernel(mat)
-    zero = [QQ.zero] * mat.nrows
-    for row in dense_rows(ker):
-        assert mat.apply(row) == zero
+def test_kernel_vectors_map_to_zero(rows):
+    mat = SparseMatrix.from_rows(QQ, rows)
+    for row in kernel(rows, mat.ncols).rows:
+        assert mat.apply(row) == {}

@@ -4,32 +4,32 @@ from itertools import combinations
 
 import pytest
 
+from nkoszul.cli import main
+from nkoszul.definitions import parse_definition
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import QQ
-from nkoszul.linalg import Matrix, Subspace, kernel
+from nkoszul.linalg import Subspace
 from nkoszul.reduction import (lemma3_check, monomial_rotation_closure,
                                monomial_subspace, reduction_operator)
 from nkoszul.sampling import random_subspace, rng_from_seed
 from nkoszul.words import block_embed, index_word
-from oracles import kron, sparse_rows
+from oracles import DenseMatrix, kron, operator_matrix, sparse_rows
 
 
-def unit(i, n):
-    v = [QQ.zero] * n
-    v[i] = QQ.one
-    return v
+def unit(i):
+    return {i: QQ.one}
 
 
 def test_zero_relations_give_identity():
     op = reduction_operator(Subspace.zero(QQ, 4), 2)
-    assert op.S == Matrix.identity(QQ, 4)
+    assert operator_matrix(op) == DenseMatrix.identity(QQ, 4)
     assert op.leading_words == []
     assert op.image_words() == [0, 1, 2, 3]
 
 
 def test_full_relations_give_zero():
     op = reduction_operator(Subspace.full(QQ, 4), 2)
-    assert all(not c for row in op.S.rows for c in row)
+    assert all(not c for row in operator_matrix(op).rows for c in row)
     assert op.leading_words == [0, 1, 2, 3]
 
 
@@ -38,9 +38,9 @@ def test_commutator_rewrite():
     R = Subspace.from_vectors(QQ, 4, [{1: -1, 2: 1}])
     op = reduction_operator(R, 2)
     assert op.leading_words == [2]
-    assert op.apply(unit(2, 4)) == unit(1, 4)
+    assert op.apply(unit(2)) == unit(1)
     for w in (0, 1, 3):
-        assert op.apply(unit(w, 4)) == unit(w, 4)
+        assert op.apply(unit(w)) == unit(w)
 
 
 def test_operator_contract():
@@ -49,18 +49,20 @@ def test_operator_contract():
         amb = 2 ** 3
         R = random_subspace(QQ, amb, rng)
         op = reduction_operator(R, 3)
-        S = op.S
+        S = operator_matrix(op)
         # idempotent
         assert S.mul(S) == S
         # kernel is exactly R
-        assert kernel(op.S) == R
+        assert S.kernel() == R
         # each column either fixes its word or rewrites strictly downward
         for a in range(amb):
             col = [S.rows[i][a] for i in range(amb)]
+            assert op.apply(unit(a)) == sparse_rows([col])[0]
             if a in op.leading_words:
                 assert all(not c for c in col[a:])
             else:
-                assert col == unit(a, amb)
+                assert col == [QQ.one if i == a else QQ.zero
+                               for i in range(amb)]
         # the image is spanned by the fixed words
         assert len(op.image_words()) == amb - R.dim
 
@@ -71,7 +73,7 @@ def test_rewrites_terminate_by_descent():
     R = random_subspace(QQ, 8, rng, dim=3)
     op = reduction_operator(R, 3)
     for a in range(8):
-        once = op.apply(unit(a, 8))
+        once = op.apply(unit(a))
         assert op.apply(once) == once
 
 
@@ -81,11 +83,42 @@ def test_factorization_both_sides():
         R = random_subspace(QQ, 4, rng)
         op = reduction_operator(R, 2)
         for r in (1, 2):
-            ident = Matrix.identity(QQ, 2 ** r)
+            S = operator_matrix(op)
+            ident = DenseMatrix.identity(QQ, 2 ** r)
             right = reduction_operator(block_embed(R, 2, 0, r), 2 + r)
-            assert kron(op.S, ident) == right.S
+            assert kron(S, ident) == operator_matrix(right)
             left = reduction_operator(block_embed(R, 2, r, 0), 2 + r)
-            assert kron(ident, op.S) == left.S
+            assert kron(ident, S) == operator_matrix(left)
+
+
+# x^10 - y.x^9 in a word space of 2^10: S rewrites y.x^9 (word 512) to
+# x^10 (word 0) and fixes the other 1023 words without storing them
+LARGE = "generators x y\ndegree 10\nrelation %s - y.%s\n" % (
+    ".".join("x" * 10), ".".join("x" * 9))
+
+
+def test_large_word_space():
+    R = parse_definition(LARGE).to_algebra().relations
+    op = reduction_operator(R, 10)
+    assert op.leading_words == [512]
+    assert op.rewrites == {512: {0: QQ.one}}
+    assert len(op.image_words()) == 1023
+    vec = {512: QQ.coerce(3), 1023: QQ.one, 5: QQ.coerce(-2)}
+    once = op.apply(vec)
+    assert once == {0: 3, 1023: 1, 5: -2}
+    assert op.apply(once) == once
+    assert op.apply({0: QQ.one, 512: -QQ.one}) == {}   # R lies in Ker S
+    assert op.apply({0: QQ.one}) == {0: 1}
+
+
+def test_cli_reduce_on_a_large_word_space(tmp_path, capsys):
+    path = tmp_path / "deg10.alg"
+    path.write_text(LARGE)
+    assert main(["reduce", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    lead, words = "y." + ".".join("x" * 9), ".".join("x" * 10)
+    assert lines[-3:] == ["leading_words: " + lead, "image_dim: 1023",
+                          "rewrite %s: 1*%s" % (lead, words)]
 
 
 def test_lemma3_trivial_cases():
@@ -139,4 +172,4 @@ def test_image_is_monomial():
                                  [index_word(w, 2, 3) for w in op.image_words()])
         # the column space of S
         assert Subspace.from_vectors(
-            QQ, 8, sparse_rows(op.S.transpose().rows)) == span
+            QQ, 8, sparse_rows(operator_matrix(op).transpose().rows)) == span
