@@ -18,7 +18,9 @@ names = poly.gen_names
 
 op = reduction_operator(poly.relations, 2)
 print("leading words:", [basis.label(w, names) for w in op.leading_words])
-print("fixed words  :", [basis.label(w, names) for w in op.image_words()])
+# S fixes every word it does not rewrite; those words span Im(S)
+fixed = [w for w in range(poly.relations.ambient_dim) if w not in op.rewrites]
+print("fixed words  :", [basis.label(w, names) for w in fixed])
 print()
 
 # Rewriting y.x: the relation x.y - y.x sends it to x.y.  Vectors are

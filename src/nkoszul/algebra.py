@@ -28,9 +28,9 @@ relation rows only: each assembled row is a positive multiple of its
 field-scalar value, which the eliminator's primitive rows do not see.
 Left multiplication, ``lmul``, is built from ``int_cols`` alone and kept
 only as integers, scaled by ``lden`` = den_1 * ... * den_n (1 over GF(p),
-where the integers are the field scalars); the Koszul operators read it.
-Its transpose, ``lmul_rows``, is cached beside it: for the dual algebra
-B^! it is the first-letter split of the Koszul dual side (B^!)*.
+where the integers are the field scalars); the Koszul operators read it,
+and for the dual algebra B^! its transpose is the first-letter split of
+the Koszul dual side (B^!)*.
 
 Products, ``lmul`` and ``_times_word`` push sparse vectors through these
 tables with ``sparsela.apply_cols``; ``sparsela.over_common_denominator``
@@ -44,8 +44,7 @@ from .errors import ContractViolation, DimensionMismatch
 from .fields import QQ
 from .linalg import Subspace, rank
 from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
-                       over_common_denominator, primitive_row, settled,
-                       transpose_cols)
+                       over_common_denominator, primitive_row, settled)
 from .words import (annihilator, index_word, interleave_subspace,
                     tensor_subspace)
 
@@ -64,7 +63,7 @@ class GradedComponent:
     """
 
     __slots__ = ("n", "dim", "normal_words", "word_pos", "elim", "rmul_cols",
-                 "int_cols", "den", "lden", "lmul_cols", "lmul_rows")
+                 "int_cols", "den", "lden", "lmul_cols")
 
     def __init__(self, n, normal_words, elim):
         self.n = n
@@ -80,7 +79,6 @@ class GradedComponent:
         # integer left multiplication, lden times the exact map
         self.lden = None
         self.lmul_cols = None       # built on demand
-        self.lmul_rows = None       # lmul_cols transposed, built on demand
 
 
 def _default_names(dim_e):
@@ -289,20 +287,6 @@ class NHomogeneousAlgebra:
                         out[j][pos_u] = apply_cols(p, rm, lm_prev[j][pos_upre])
                 comp.lmul_cols = out
         return comp.lmul_cols
-
-    def lmul_rows(self, n):
-        """``lmul(n)`` transposed: per generator x_j, one row per class of A_n.
-
-        Row i sends each basis class u of A_{n-1} to the coefficient of
-        class i in x_j * u, with the integers and scale of ``lmul``.  For
-        the dual algebra these are the first-letter splits of the Koszul
-        dual side.  Cached beside ``lmul_cols``, so every user of degree n
-        shares them.
-        """
-        comp = self.component(n)
-        if comp.lmul_rows is None:
-            comp.lmul_rows = transpose_cols(self.lmul(n), comp.dim)
-        return comp.lmul_rows
 
     def _times_word(self, vec, m, word):
         """Class of vec * word, for a sparse degree-m vec and a letter tuple."""

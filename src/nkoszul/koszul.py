@@ -27,8 +27,8 @@ The dual-side component W_m = (B^!_m)* is the annihilator of the
 degree-m relations of B^!; its natural basis is dual to the normal-word
 classes of B^!, so all of its structure reads off the dual algebra
 ``bang`` = B^!: its dimension is ``bang.dim(m)``, its first-letter split
-is ``bang.lmul_rows(m)`` (left multiplication in B^!, transposed), and
-its coproduct coefficients are ``bang.basis_product``.
+is ``bang.lmul(m)`` (left multiplication in B^!) transposed, and its
+coproduct coefficients are ``bang.basis_product``.
 
 On K(id) the free part of W is known without elimination: W_m = E^(x)m
 for m < N and W_N = R.  So ``NComplexSlice.rank_power`` reads three
@@ -86,10 +86,11 @@ class _KoszulSlice:
     """Positions of one chain of K(f) or L(f) and the maps k -> k+1.
 
     A subclass lays out ``positions`` and names the factors of the map out
-    of a position: ``_forward(src, tgt)`` and ``_transposed(src, tgt)``
-    return ((xs, ys, y_src, y_tgt), s) -- the integer factors for
-    ``kron_sum_apply`` and the positive scale s of the map they apply,
-    the same both ways.  Maps leaving the materialized positions are zero.
+    of a position: ``_forward(src, tgt)`` returns ((xs, ys, y_src, y_tgt),
+    s) -- the integer factors for ``kron_sum_apply`` and the positive scale
+    s of the map they apply.  The transposed map is derived from them:
+    sum_l X_l^T (x) Y_l^T, with the same scale.  Maps leaving the
+    materialized positions are zero.
     """
 
     def __init__(self, morphism):
@@ -103,10 +104,7 @@ class _KoszulSlice:
         self._identity = (self.source is self.target
                           and morphism.matrix == SparseMatrix.identity(
                               self.field, self.source.dim_e))
-        self._twists = {}
         self._ops = {}
-        self._ops_t = {}
-        self._scales = {}
         self._mats = {}
         self._ranks = {}
 
@@ -115,46 +113,48 @@ class _KoszulSlice:
             return self.positions[k].dim
         return 0
 
-    def _twisted(self, kind, degree):
-        """Multiplication by f(x_letter), C_{degree-1} -> C_degree, per letter.
+    def _twisted(self, cols, scale):
+        """Multiplication by f(x_letter) per letter, from the target's table.
 
-        kind is "rmul" (right multiplication, for K) or "lmul" (left, for
-        L).  Returns (cols, scale): integer columns, scale times the
-        exact map.  Cached, since the forward and transposed maps both
-        use it.
+        cols[letter] are the integer columns of multiplication by x_letter
+        in the target, scale times the exact map.  Returns (cols, scale)
+        for the letters pushed through f: the same table when f is the
+        identity.
         """
-        key = (kind, degree)
-        hit = self._twists.get(key)
-        if hit is None:
-            target = self.target
-            comp = target.component(degree)
-            if kind == "rmul":
-                cols, scale = comp.int_cols, comp.den
-            else:
-                cols, scale = target.lmul(degree), comp.lden
-            if not self._identity:
-                # f(x_letter) = sum_j c_j x_j, so its column at src is
-                # sum_j c_j * cols[j][src]
-                (fcols,), fscale = over_common_denominator(
-                    self.field, [self.morphism.matrix.cols])
-                by_src = list(zip(*cols))
-                cols = [[apply_cols(self._p, at_src, fcol)
-                         for at_src in by_src] for fcol in fcols]
-                scale *= fscale
-            hit = self._twists[key] = (cols, scale)
-        return hit
+        if self._identity:
+            return cols, scale
+        # f(x_letter) = sum_j c_j x_j, so its column at src is
+        # sum_j c_j * cols[j][src]
+        (fcols,), fscale = over_common_denominator(
+            self.field, [self.morphism.matrix.cols])
+        by_src = list(zip(*cols))
+        return ([[apply_cols(self._p, at_src, fcol) for at_src in by_src]
+                 for fcol in fcols], scale * fscale)
 
-    def _op(self, cache, build, k):
-        """Cache and return the factors of the map out of position k.
+    def _op(self, k, transposed=False):
+        """The map out of position k, or its transpose, cached.
 
-        () stands for the zero map.  The map's scale goes to _scales.
+        Returns (factors, s) for ``kron_sum_apply`` and the map's scale, or
+        None for the zero map.  The transpose swaps each factor's rows and
+        columns: X_l maps into the x-part of position k+1, of dimension
+        dim(k+1) / y_tgt.
         """
-        op = ()
-        if 0 <= k < len(self.positions) - 1:
+        key = (k, transposed)
+        if key in self._ops:
+            return self._ops[key]
+        op = None
+        if transposed:
+            forward = self._op(k)
+            if forward is not None:
+                (xs, ys, y_src, y_tgt), s = forward
+                x_tgt = self.position_dim(k + 1) // y_tgt
+                op = ((transpose_cols(xs, x_tgt), transpose_cols(ys, y_tgt),
+                       y_tgt, y_src), s)
+        elif 0 <= k < len(self.positions) - 1:
             src, tgt = self.positions[k], self.positions[k + 1]
             if src.dim and tgt.dim:
-                op, self._scales[k] = build(src, tgt)
-        cache[k] = op
+                op = self._forward(src, tgt)
+        self._ops[key] = op
         return op
 
     def scale(self, k):
@@ -162,9 +162,8 @@ class _KoszulSlice:
 
         1 over GF(p) and for a zero map.
         """
-        if k not in self._ops:
-            self._op(self._ops, self._forward, k)
-        return self._scales.get(k, 1)
+        op = self._op(k)
+        return 1 if op is None else op[1]
 
     def apply_differential(self, k, vec):
         """Apply s_k * d at position k to a sparse vector, as a new dict.
@@ -172,24 +171,20 @@ class _KoszulSlice:
         s_k is ``scale(k)``.  Over QQ an integer vector maps to an
         integer vector; ranks and zero tests are those of d itself.
         """
-        op = self._ops.get(k)
-        if op is None:
-            op = self._op(self._ops, self._forward, k)
-        if not op or not vec:
+        op = self._op(k)
+        if op is None or not vec:
             return {}
-        return kron_sum_apply(self._p, *op, vec)
+        return kron_sum_apply(self._p, *op[0], vec)
 
     def apply_transposed(self, k, vec):
         """Apply s_k times the transposed position-k map to a vector on k+1.
 
         s_k is ``scale(k)``, the scale of ``apply_differential(k, .)``.
         """
-        op = self._ops_t.get(k)
-        if op is None:
-            op = self._op(self._ops_t, self._transposed, k)
-        if not op or not vec:
+        op = self._op(k, True)
+        if op is None or not vec:
             return {}
-        return kron_sum_apply(self._p, *op, vec)
+        return kron_sum_apply(self._p, *op[0], vec)
 
     def differential(self, k):
         """The exact map at position k as a sparse matrix (cached)."""
@@ -315,16 +310,14 @@ class NComplexSlice(_KoszulSlice):
         return _KoszulSlice.rank_power(self, k, e)
 
     def _forward(self, src, tgt):
-        xs, s = self._twisted("rmul", tgt.c_degree)
+        comp = self.target.component(tgt.c_degree)
+        xs, s = self._twisted(comp.int_cols, comp.den)
         m = src.w_degree
-        return ((xs, self.bang.lmul_rows(m), src.w_dim, tgt.w_dim),
+        # the first-letter split of W_m: left multiplication in B^!,
+        # transposed
+        split = transpose_cols(self.bang.lmul(m), src.w_dim)
+        return ((xs, split, src.w_dim, tgt.w_dim),
                 s * self.bang.component(m).lden)
-
-    def _transposed(self, src, tgt):
-        xs, s = self._twisted("rmul", tgt.c_degree)
-        m = src.w_degree
-        return ((transpose_cols(xs, tgt.c_dim), self.bang.lmul(m),
-                 tgt.w_dim, src.w_dim), s * self.bang.component(m).lden)
 
     def _where(self):
         return "at slice n=%d" % self.n
@@ -368,16 +361,12 @@ class LComplexSlice(_KoszulSlice):
                                                c_dim, b_dim))
 
     def _forward(self, src, tgt):
-        ys, s = self._twisted("lmul", tgt.c_degree)
+        c = tgt.c_degree
+        ys, s = self._twisted(self.target.lmul(c),
+                              self.target.component(c).lden)
         m = tgt.w_degree
         return ((self.bang.lmul(m), ys, src.c_dim, tgt.c_dim),
                 self.bang.component(m).lden * s)
-
-    def _transposed(self, src, tgt):
-        ys, s = self._twisted("lmul", tgt.c_degree)
-        m = tgt.w_degree
-        return ((self.bang.lmul_rows(m), transpose_cols(ys, tgt.c_dim),
-                 tgt.c_dim, src.c_dim), self.bang.component(m).lden * s)
 
     def _where(self):
         return "on L chain delta=%d" % self.delta
@@ -494,8 +483,7 @@ class ContractedComplex:
                 - self.rank_map(i + 1, t))
 
     def h0_dims(self, t_max):
-        return [self.block_dim(0, t) - self.rank_map(1, t)
-                for t in range(t_max + 1)]
+        return [self.homology_dim(0, t) for t in range(t_max + 1)]
 
     def expected_h0_dims(self, t_max):
         """Graded dims of sum_{0<=j<=N-p-1} E^(x)j (x) E^(x)r."""

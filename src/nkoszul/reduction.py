@@ -37,11 +37,6 @@ class ReductionOperator:
         cols = {w: self.rewrites.get(w, {w: one}) for w in vector}
         return apply_cols(modulus(self.relations.field), cols, vector)
 
-    def image_words(self):
-        """The words fixed by S; they span Im(S)."""
-        return [w for w in range(self.relations.ambient_dim)
-                if w not in self.rewrites]
-
     def __repr__(self):
         return "ReductionOperator(n=%d, leading=%r)" % (
             self.n, self.leading_words)

@@ -508,16 +508,3 @@ def test_integer_lmul_matches_field_oracle():
                 assert lden == 1
             ldens.append(lden)
     assert max(ldens) > 1
-
-
-def test_lmul_rows_is_the_cached_transpose_of_lmul():
-    for A in tower_algebras():
-        for n in range(1, 6):
-            want = [[{} for _ in range(A.dim(n))] for _ in range(A.dim_e)]
-            for j, cols in enumerate(A.lmul(n)):
-                for src, col in enumerate(cols):
-                    for tgt, c in col.items():
-                        want[j][tgt][src] = c
-            rows = A.lmul_rows(n)
-            assert rows == want, (A, n)
-            assert A.lmul_rows(n) is rows

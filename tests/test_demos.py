@@ -1,4 +1,5 @@
-"""Every demo script runs cleanly from the repository root."""
+"""Every demo script, and the README's library example, runs cleanly
+from the repository root."""
 
 import subprocess
 import sys
@@ -10,14 +11,30 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
+def run_python(args):
+    return subprocess.run([sys.executable, *args], cwd=ROOT,
+                          capture_output=True, text=True)
+
+
 def test_demos_are_found():
     assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs_cleanly(demo):
-    res = subprocess.run([sys.executable, str(demo.relative_to(ROOT))],
-                         cwd=ROOT, capture_output=True, text=True)
+    res = run_python([str(demo.relative_to(ROOT))])
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
     assert res.stdout
+
+
+def test_readme_library_snippet_runs():
+    # the python block under "## Library entry points" in README.md
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    res = run_python(["-c", code])
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    assert res.stdout.splitlines()[-1] == \
+        "KoszulVerdict(koszul=True, n_max=6, witness=None)"

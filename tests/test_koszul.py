@@ -67,7 +67,11 @@ def test_slice_dims_are_products():
 
 
 def _twisted_inputs():
-    """Identity and non-identity morphisms for the K and L operators."""
+    """Identity and non-identity morphisms for the K and L operators.
+
+    Over QQ, and over GF(32003), the field of the ncomplex-gfp benchmark;
+    the last one has fractional entries.
+    """
     rng = rng_from_seed(37)
     B = random_algebra(2, 3, rng, dim_r=3)
     f = random_isomorphism(B, rng)
@@ -77,9 +81,12 @@ def _twisted_inputs():
             [Fraction(-2, 3), Fraction(3, 4)]]
     h = Morphism(B, transported_algebra(B, SparseMatrix.from_rows(QQ, rows)),
                  rows)
-    assert koszul_K(h, 1)._twisted("rmul", 1)[1] == 12
+    assert koszul_K(h, 1).scale(0) == 12
+    P = random_algebra(2, 3, rng, field=GF(32003), dim_r=3)
+    fp = random_isomorphism(P, rng)
+    assert fp.target is not fp.source
     return [Morphism.identity(commutator_algebra()), Morphism.identity(B), f,
-            h]
+            Morphism.identity(P), fp, h]
 
 
 def _chains(morphism, bound):
@@ -89,9 +96,10 @@ def _chains(morphism, bound):
 
 def test_differential_matrix_matches_transposed_apply():
     # apply_transposed(k, e_i) holds row i of s_k times the exact matrix
-    nonzero = 0
+    nonzero = {QQ: 0, GF(32003): 0}
     scales = set()
     for morphism in _twisted_inputs():
+        rational = morphism.source.field.kind == "rational"
         for sl in _chains(morphism, 4):
             for k in range(len(sl.positions) - 1):
                 mat = sl.differential(k)
@@ -103,12 +111,13 @@ def test_differential_matrix_matches_transposed_apply():
                         assert type(c) is int
                         back.setdefault(j, {})[i] = c
                 for j, col in enumerate(mat.cols):
-                    assert all(type(v) is Fraction for v in col.values())
+                    assert not rational or all(type(v) is Fraction
+                                               for v in col.values())
                     assert back.get(j, {}) == {i: s * v
                                                for i, v in col.items()}
-                nonzero += any(mat.cols)
+                nonzero[sl.field] += any(mat.cols)
                 scales.add(s)
-    assert nonzero > 20
+    assert nonzero[QQ] > 20 and nonzero[GF(32003)] > 20
     assert max(scales) > 12
 
 
