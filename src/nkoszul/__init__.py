@@ -6,11 +6,10 @@ homology, contracted complexes and Koszulity verdicts, Tor via the
 normalized bar complex, and reduction operators on relation subspaces.
 """
 
-from .algebra import (GradedElement, Morphism, NHomogeneousAlgebra, bullet,
-                      circ, dual, end_algebra, free_algebra,
-                      full_relations_algebra, hilbert_dims, hom_algebra,
-                      is_morphism, prop1_check, symmetric_algebra,
-                      veronese_dims)
+from .algebra import (Morphism, NHomogeneousAlgebra, bullet, circ, dual,
+                      end_algebra, free_algebra, full_relations_algebra,
+                      hilbert_dims, hom_algebra, is_morphism, prop1_check,
+                      symmetric_algebra, veronese_dims)
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
 from .fields import GF, QQ, PrimeField, RationalField, field_from_name
 from .linalg import Subspace, rank, rref

@@ -38,8 +38,6 @@ turns ``rmul_cols`` into ``int_cols`` and ``den``.  Only ``_build_next``
 keeps sums of its own (see there).
 """
 
-from collections import namedtuple
-
 from .errors import ContractViolation, DimensionMismatch
 from .fields import QQ
 from .linalg import Subspace, rank
@@ -47,9 +45,6 @@ from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
                        over_common_denominator, primitive_row, settled)
 from .words import (annihilator, index_word, interleave_subspace,
                     tensor_subspace)
-
-GradedElement = namedtuple("GradedElement", ["degree", "coords"])
-
 
 class GradedComponent:
     """Degree-n piece of an algebra: monomial basis plus generator actions.
@@ -316,23 +311,6 @@ class NHomogeneousAlgebra:
                 cols[key] = product(m, pos_a, k, pos_b)
                 weights[key] = ca * cb
         return apply_cols(modulus(self.field), cols, weights)
-
-    # -- elements -------------------------------------------------------
-
-    def multiply(self, a, b):
-        """Product of graded elements, exact in normal-word coordinates."""
-        m, k = a.degree, b.degree
-        if len(a.coords) != self.component(m).dim:
-            raise DimensionMismatch("left factor has wrong coordinate length")
-        if len(b.coords) != self.component(k).dim:
-            raise DimensionMismatch("right factor has wrong coordinate length")
-        vec = self.vector_product(
-            m, {i: c for i, c in enumerate(a.coords) if c},
-            k, {i: c for i, c in enumerate(b.coords) if c})
-        result = [self.field.zero] * self.component(m + k).dim
-        for pos, c in vec.items():
-            result[pos] = c
-        return GradedElement(m + k, tuple(result))
 
     # -- duality ----------------------------------------------------------
 

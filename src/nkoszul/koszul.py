@@ -40,7 +40,7 @@ every other rank, for L and for K(f) with f not the identity.
 
 from collections import namedtuple
 
-from .algebra import GradedElement, Morphism, circ
+from .algebra import Morphism
 from .errors import ContractViolation, DimensionMismatch
 from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
                        over_common_denominator, settled, transpose_cols)
@@ -703,27 +703,23 @@ def tor_purity(algebra, i_max, n_max):
 
 
 class KoszulElement:
-    """xi_f: the degree-1 element of B^! o C attached to a morphism f."""
+    """xi_f: the degree-1 element of B^! o C attached to a morphism f.
+
+    Degree by degree (B^! o C)_m = B^!_m (x) C_m = Hom(W_m, C_m) with
+    W_m = (B^!_m)*, and the product of B^! o C is the convolution product
+    of ``ConvolutionContext``.  So xi_f is the graded map with the matrix
+    of f in degree 1, and its powers are convolution powers.
+    """
 
     def __init__(self, morphism):
         self.morphism = morphism
-        bang = morphism.source.dual()
-        self.product_algebra = circ(bang, morphism.target)
-        field = morphism.source.field
-        g, gp = morphism.source.dim_e, morphism.target.dim_e
-        coords = [field.zero] * (g * gp)
-        for letter, col in enumerate(morphism.matrix.cols):
-            for j, c in col.items():
-                coords[letter * gp + j] = c
-        self.element = GradedElement(1, tuple(coords))
+        self.element = GradedMap.from_morphism(morphism)
 
     def power_is_zero(self):
         """(xi_f)^N = 0 in the product algebra."""
-        alg = self.product_algebra
-        acc = self.element
-        for _ in range(alg.N - 1):
-            acc = alg.multiply(acc, self.element)
-        return all(not c for c in acc.coords)
+        f, N = self.morphism, self.morphism.source.N
+        ctx = ConvolutionContext(f.source, f.target)
+        return ctx.convolution_power(self.element, N, N).is_zero()
 
 
 class GradedMap:
@@ -864,17 +860,17 @@ class ConvolutionContext:
 def convolution_check(source, target, morphism, m_max, samples=20, seed=0):
     """Coherence of the convolution structure with the complex differentials.
 
-    Verifies (a) alpha^{*N} = 0 up to degree m_max for the morphism-derived
-    alpha, (b) d_alpha equals the K(f) differential on slices t <= m_max,
-    and (c) d_alpha o d_beta = d_{alpha*beta} for random graded maps.
+    Verifies (a) alpha^{*N} = 0 for the morphism-derived alpha = xi_f
+    (the power lives in degree N alone), (b) d_alpha equals the K(f)
+    differential on slices t <= m_max, and (c) d_alpha o d_beta =
+    d_{alpha*beta} for random graded maps.
     """
     import random
-    ctx = ConvolutionContext(source, target)
-    N = source.N
-    alpha = GradedMap.from_morphism(morphism)
-    power = ctx.convolution_power(alpha, N, m_max)
-    if not power.is_zero():
+    xi = KoszulElement(morphism)
+    if not xi.power_is_zero():
         return False
+    ctx = ConvolutionContext(source, target)
+    alpha = xi.element
     for t in range(m_max + 1):
         dmat = ctx.d_alpha_matrix(alpha, t)
         if dmat != _k_differential_total(morphism, t):

@@ -73,21 +73,19 @@ def interleave_index(sep_index, n_blocks, dim_a, dim_b):
     return idx
 
 
-def interleaving_permutation(n_blocks, dim_a, dim_b):
-    """List P with P[separated index] = interleaved index."""
-    return [interleave_index(s, n_blocks, dim_a, dim_b)
-            for s in range((dim_a * dim_b) ** n_blocks)]
-
-
 def interleave_subspace(subspace, n_blocks, dim_a, dim_b):
-    """Reinterpret a subspace of A^(x)n (x) B^(x)n inside (A (x) B)^(x)n."""
-    expected = (dim_a ** n_blocks) * (dim_b ** n_blocks)
-    if subspace.ambient_dim != expected:
+    """Reinterpret a subspace of A^(x)n (x) B^(x)n inside (A (x) B)^(x)n.
+
+    Each row key is interleaved on its own, so the cost follows the rows'
+    entries, never the (dim_a * dim_b)^n words of the ambient space.
+    """
+    total = (dim_a * dim_b) ** n_blocks
+    if subspace.ambient_dim != total:
         raise DimensionMismatch("subspace not in the separated tensor space")
-    perm = interleaving_permutation(n_blocks, dim_a, dim_b)
     return Subspace.from_vectors(
-        subspace.field, len(perm),
-        [{perm[sep]: c for sep, c in row.items()} for row in subspace.rows])
+        subspace.field, total,
+        [{interleave_index(sep, n_blocks, dim_a, dim_b): c
+          for sep, c in row.items()} for row in subspace.rows])
 
 
 def annihilator(subspace):

@@ -2,7 +2,7 @@
 
 from nkoszul.errors import DimensionMismatch
 from nkoszul.linalg import Subspace, null_space
-from nkoszul.words import index_word, interleaving_permutation
+from nkoszul.words import index_word, interleave_index
 
 
 def sparse_rows(rows):
@@ -145,8 +145,8 @@ def shuffle_map(field, n_blocks, dim_a, dim_b):
     Sends the k-th pair factor a (x) b to the k-th slot of each side; its
     matrix is the permutation with entry 1 at (separated, interleaved).
     """
-    perm = interleaving_permutation(n_blocks, dim_a, dim_b)
-    total = len(perm)
+    total = (dim_a * dim_b) ** n_blocks
+    perm = [interleave_index(s, n_blocks, dim_a, dim_b) for s in range(total)]
     mat = DenseMatrix.zeros(field, total, total)
     for sep, inter in enumerate(perm):
         mat.rows[sep][inter] = field.one

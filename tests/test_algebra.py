@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nkoszul.algebra as algebra_module
-from nkoszul.algebra import (GradedElement, Morphism, NHomogeneousAlgebra,
-                             bullet, circ, end_algebra, free_algebra,
+from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, bullet, circ,
+                             end_algebra, free_algebra,
                              full_relations_algebra, hilbert_dims, hom_algebra,
                              is_morphism, prop1_check, symmetric_algebra,
                              veronese_dims)
@@ -82,21 +82,12 @@ def test_normal_words_prefix_closed():
             assert w // 2 in prev
 
 
-def word_element(algebra, word):
-    """The class of a word as a GradedElement, read from word_class."""
-    n = len(word)
-    vec = word_class(algebra, word)
-    return GradedElement(n, tuple(vec.get(i, algebra.field.zero)
-                                  for i in range(algebra.dim(n))))
-
-
-def test_multiply_against_word_classes():
+def test_vector_product_against_word_classes():
     A = commutator_algebra()
-    x = word_element(A, (0,))
-    y = word_element(A, (1,))
-    xy = A.multiply(x, y)
-    yx = A.multiply(y, x)
-    assert xy.degree == 2 and xy.coords == yx.coords
+    one = A.field.one
+    xy = A.vector_product(1, {0: one}, 1, {1: one})
+    yx = A.vector_product(1, {1: one}, 1, {0: one})
+    assert xy and xy == yx == word_class(A, (0, 1))
 
 
 def test_element_from_dead_word_is_zero():

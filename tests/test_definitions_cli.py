@@ -130,18 +130,24 @@ def test_cli_hilbert(defs):
 def test_cli_hilbert_of_a_degree_40_definition_in_1_gib(tmp_path):
     # R lies in a word space of dimension 2^40, but the tower through
     # degree 3 never reaches degree 40: parsing must not touch that space,
-    # and neither must the reduction operator, which stores one rewrite
+    # and neither must the reduction operator, which stores one rewrite,
+    # nor bullet, whose R (x) R lies in a word space of dimension 4^40
     path = tmp_path / "deg40.alg"
     lead, words = "y." + ".".join("x" * 39), ".".join("x" * 40)
     path.write_text("generators x y\ndegree 40\nrelation %s - %s\n"
                     % (words, lead))
+    pairs = ["%s.%s" % (first, ".".join(["x_x"] * 39))
+             for first in ("x_x", "x_y", "y_x", "y_y")]
+    square = "  relation 1*%s - 1*%s - 1*%s + 1*%s" % tuple(pairs)
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    for args, line in ((["hilbert", "--nmax", "3"], "dims: 1 2 4 8"),
-                       (["reduce"], "rewrite %s: 1*%s" % (lead, words))):
-        res = run_cli(args, [path], preexec_fn=cap_address_space,
+    for args, files, line in (
+            (["hilbert", "--nmax", "3"], [path], "dims: 1 2 4 8"),
+            (["reduce"], [path], "rewrite %s: 1*%s" % (lead, words)),
+            (["bullet"], [path, path], square)):
+        res = run_cli(args, files, preexec_fn=cap_address_space,
                       timeout=120)
         assert res.returncode == 0, res.stderr
         assert line in res.stdout.splitlines()

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, free_algebra,
-                             full_relations_algebra, symmetric_algebra)
+from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, circ,
+                             free_algebra, full_relations_algebra,
+                             symmetric_algebra)
 from nkoszul.definitions import parse_definition
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
@@ -20,8 +21,11 @@ from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             slice_acyclic, tor_dims, tor_pure_degree,
                             tor_purity, verdict_string)
 from nkoszul.linalg import Subspace, rank
-from nkoszul.sampling import (random_algebra, random_isomorphism,
-                              rng_from_seed, transported_algebra)
+from nkoszul.sampling import (random_algebra,
+                              random_full_rank_non_isomorphism,
+                              random_isomorphism,
+                              random_rank_deficient_morphism, rng_from_seed,
+                              transported_algebra)
 from nkoszul.sparsela import Eliminator, SparseMatrix
 from nkoszul.words import block_embed
 from oracles import dual_component, sparse_rows, subspace_intersect
@@ -679,6 +683,46 @@ def test_koszul_element_is_nilpotent():
         f = random_isomorphism(A, rng)
         xi = KoszulElement(f)
         assert xi.power_is_zero()
+
+
+def circ_powers_nonzero(f):
+    """[xi_f^k != 0 for k = 1..N], with xi_f raised in circ(B^!, C).
+
+    The presented product algebra is the slow reference encoding of
+    B^! o C: xi_f is its degree-1 vector with entry c at letter * g' + j
+    for each entry c of column ``letter`` of f's matrix.
+    """
+    product = circ(f.source.dual(), f.target)
+    gp = f.target.dim_e
+    xi = {letter * gp + j: c
+          for letter, col in enumerate(f.matrix.cols) for j, c in col.items()}
+    out, acc = [bool(xi)], xi
+    for k in range(2, f.source.N + 1):
+        acc = product.vector_product(k - 1, acc, 1, xi)
+        out.append(bool(acc))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_koszul_element_powers_match_circ_route(field):
+    rng = rng_from_seed(37)
+    below_n = False
+    for g, N in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
+        # half the words as relations, so every map of the three kinds exists
+        A = random_algebra(g, N, rng, field=field, dim_r=g ** N // 2)
+        for make in (random_isomorphism, random_rank_deficient_morphism,
+                     random_full_rank_non_isomorphism):
+            f = make(A, rng)
+            xi = KoszulElement(f)
+            ctx = ConvolutionContext(f.source, f.target)
+            conv = [not ctx.convolution_power(xi.element, k, k).is_zero()
+                    for k in range(1, N + 1)]
+            assert conv == circ_powers_nonzero(f)
+            assert xi.power_is_zero()
+            below_n = below_n or any(conv[1:-1])
+    # some xi_f^k with 2 <= k < N is nonzero, so the agreement says more
+    # than "both are zero"
+    assert below_n
 
 
 def test_convolution_coherence():
