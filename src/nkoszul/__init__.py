@@ -21,7 +21,7 @@ from .koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                      koszulity_check, lemma2_check, slice_acyclic,
                      tor_dims, tor_pure_degree, tor_purity, verdict_string)
 from .words import (WordBasis, annihilator, block_embed, index_word,
-                    interleave_subspace, tensor_subspace, word_index)
+                    interleaved_span, tensor_subspace, word_index)
 from .definitions import (AlgebraDefinition, definition_from_algebra,
                           parse_definition, serialize_definition)
 from .reduction import (Lemma3Result, ReductionOperator, lemma3_check,

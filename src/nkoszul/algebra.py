@@ -43,7 +43,7 @@ from .fields import QQ
 from .linalg import Subspace, rank
 from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
                        over_common_denominator, primitive_row, settled)
-from .words import (annihilator, index_word, interleave_subspace,
+from .words import (annihilator, index_word, interleaved_span,
                     tensor_subspace)
 
 class GradedComponent:
@@ -360,8 +360,7 @@ def circ(a, b):
     ga, gb = a.dim_e, b.dim_e
     ra = tensor_subspace(a.relations, Subspace.full(field, gb ** N))
     rb = tensor_subspace(Subspace.full(field, ga ** N), b.relations)
-    sep = Subspace.from_vectors(field, ra.ambient_dim, ra.rows + rb.rows)
-    rel = interleave_subspace(sep, N, ga, gb)
+    rel = interleaved_span(field, ra.rows + rb.rows, N, ga, gb)
     label = None
     if a.label and b.label:
         label = "(%s)o(%s)" % (a.label, b.label)
@@ -374,8 +373,8 @@ def bullet(a, b):
     _check_product_args(a, b)
     N = a.N
     ga, gb = a.dim_e, b.dim_e
-    rel = interleave_subspace(tensor_subspace(a.relations, b.relations),
-                              N, ga, gb)
+    rows = tensor_subspace(a.relations, b.relations).rows
+    rel = interleaved_span(a.field, rows, N, ga, gb)
     label = None
     if a.label and b.label:
         label = "(%s).(%s)" % (a.label, b.label)

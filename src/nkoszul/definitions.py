@@ -191,32 +191,26 @@ def parse_definition(text, source=None, field_override=None):
     return AlgebraDefinition(field_spec, generators, degree, relations)
 
 
-def _coeff_str(field, value):
-    if field.kind == "rational":
-        return str(value)
-    return str(value % field.p)
-
-
 def serialize_definition(definition):
-    """Canonical text: relations re-rendered from the reduced span."""
-    g = len(definition.generators)
-    sub = definition.relation_subspace()
-    field = definition.field
+    """The definition as text, its relations printed term by term as held.
+
+    ``definition_from_algebra(defn.to_algebra())`` holds the reduced
+    relation rows, so its text is canonical.
+    """
+    names = definition.generators
     lines = ["field %s" % definition.field_spec,
-             "generators %s" % " ".join(definition.generators),
+             "generators %s" % " ".join(names),
              "degree %d" % definition.degree]
-    for row in sub.rows:
+    for terms in definition.relations:
         parts = []
-        for j, c in sorted(row.items()):
-            word = index_word(j, g, definition.degree)
-            name = ".".join(definition.generators[k] for k in word)
-            text = _coeff_str(field, c)
-            if parts and field.kind == "rational" and text.startswith("-"):
-                parts.append("- %s*%s" % (text[1:], name))
+        for c, word in terms:
+            text = "%s*%s" % (c, ".".join(names[k] for k in word))
+            if parts and text.startswith("-"):
+                parts.append("- " + text[1:])
             elif parts:
-                parts.append("+ %s*%s" % (text, name))
+                parts.append("+ " + text)
             else:
-                parts.append("%s*%s" % (text, name))
+                parts.append(text)
         lines.append("relation %s" % " ".join(parts))
     return "\n".join(lines) + "\n"
 

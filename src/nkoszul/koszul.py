@@ -857,9 +857,10 @@ class ConvolutionContext:
         return SparseMatrix(field, offsets[-1], offsets[-1], cols)
 
 
-def convolution_check(source, target, morphism, m_max, samples=20, seed=0):
+def convolution_check(morphism, m_max, samples=20, seed=0):
     """Coherence of the convolution structure with the complex differentials.
 
+    The convolution context is that of the morphism's source and target.
     Verifies (a) alpha^{*N} = 0 for the morphism-derived alpha = xi_f
     (the power lives in degree N alone), (b) d_alpha equals the K(f)
     differential on slices t <= m_max, and (c) d_alpha o d_beta =
@@ -869,7 +870,7 @@ def convolution_check(source, target, morphism, m_max, samples=20, seed=0):
     xi = KoszulElement(morphism)
     if not xi.power_is_zero():
         return False
-    ctx = ConvolutionContext(source, target)
+    ctx = ConvolutionContext(morphism.source, morphism.target)
     alpha = xi.element
     for t in range(m_max + 1):
         dmat = ctx.d_alpha_matrix(alpha, t)

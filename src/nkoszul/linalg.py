@@ -113,20 +113,14 @@ class Subspace:
             self.dim, self.ambient_dim, self.field)
 
 
-def null_space(subspace):
-    """The vectors x with sum_j row[j] * x[j] = 0 for each row of subspace.
+def reversed_subspace(subspace):
+    """The subspace with coordinate j renamed last - j, in canonical form.
 
-    Read off the canonical rows: each non-pivot column j gives e_j minus
-    the entry of every row in column j at that row's pivot.
+    Renamed back, its rows are the input's RREF taken in descending
+    coordinate order, each pivot at the greatest coordinate of its row;
+    one elimination of the input's rows gives it.
     """
-    field, pivots = subspace.field, subspace.pivots
-    taken = set(pivots)
-    vectors = {j: {j: field.one} for j in range(subspace.ambient_dim)
-               if j not in taken}
-    for p, row in zip(pivots, subspace.rows):
-        for j, v in row.items():
-            if j != p:
-                vectors[j][p] = field.neg(v)
-    return Subspace.from_vectors(field, subspace.ambient_dim,
-                                 vectors.values())
-
+    last = subspace.ambient_dim - 1
+    return Subspace(subspace.field, subspace.ambient_dim, *rref(
+        subspace.field,
+        [{last - j: c for j, c in row.items()} for row in subspace.rows]))

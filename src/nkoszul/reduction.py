@@ -12,8 +12,8 @@ cost follows dim R and the rewrites' sizes, never dim E^(x)n.
 from collections import namedtuple
 
 from .errors import ContractViolation, DimensionMismatch
-from .linalg import Subspace
-from .sparsela import Eliminator, apply_cols, modulus
+from .linalg import Subspace, reversed_subspace
+from .sparsela import apply_cols, modulus
 from .words import block_embed, index_word, word_index
 
 
@@ -42,29 +42,14 @@ class ReductionOperator:
             self.n, self.leading_words)
 
 
-def _descending_rref(relations):
-    """RREF with pivots at the greatest word of each relation.
-
-    Returns {leading word: relation row as a dict}, each row 1 at its own
-    leading word and 0 at every other leading word.  Word w is fed to the
-    eliminator as column last - w, so its ascending pivots are the
-    greatest words.
-    """
-    last = relations.ambient_dim - 1
-    elim = Eliminator(relations.field)
-    for row in relations.rows:
-        elim.add({last - w: c for w, c in row.items()})
-    elim.finalize()
-    return {last - p: {last - j: c for j, c in row.items()}
-            for p, row in elim.pivot_rows.items()}
-
-
 def reduction_operator(relations, word_length):
     """Build S from R, then verify descent, idempotence and Ker S = R."""
-    field = relations.field
+    field, last = relations.field, relations.ambient_dim - 1
     # S sends each leading word to minus the rest of its relation
-    rewrites = {lead: {w: field.neg(c) for w, c in row.items() if w != lead}
-                for lead, row in _descending_rref(relations).items()}
+    reverse = reversed_subspace(relations)
+    rewrites = {last - p: {last - w: field.neg(c)
+                           for w, c in row.items() if w != p}
+                for p, row in zip(reverse.pivots, reverse.rows)}
     for lead, col in rewrites.items():
         if any(w >= lead for w in col):
             raise ContractViolation(

@@ -7,7 +7,7 @@ significant), so lexicographic word order matches index order.
 """
 
 from .errors import DimensionMismatch
-from .linalg import Subspace, null_space
+from .linalg import Subspace, reversed_subspace
 
 
 def word_index(word, alphabet_size):
@@ -73,28 +73,39 @@ def interleave_index(sep_index, n_blocks, dim_a, dim_b):
     return idx
 
 
-def interleave_subspace(subspace, n_blocks, dim_a, dim_b):
-    """Reinterpret a subspace of A^(x)n (x) B^(x)n inside (A (x) B)^(x)n.
+def interleaved_span(field, rows, n_blocks, dim_a, dim_b):
+    """The span in (A (x) B)^(x)n of rows of A^(x)n (x) B^(x)n.
 
     Each row key is interleaved on its own, so the cost follows the rows'
     entries, never the (dim_a * dim_b)^n words of the ambient space.
     """
-    total = (dim_a * dim_b) ** n_blocks
-    if subspace.ambient_dim != total:
-        raise DimensionMismatch("subspace not in the separated tensor space")
     return Subspace.from_vectors(
-        subspace.field, total,
+        field, (dim_a * dim_b) ** n_blocks,
         [{interleave_index(sep, n_blocks, dim_a, dim_b): c
-          for sep, c in row.items()} for row in subspace.rows])
+          for sep, c in row.items()} for row in rows])
 
 
 def annihilator(subspace):
     """The subspace of the dual space pairing to zero with the input.
 
     Coordinates of the dual space are taken in the dual basis, so the
-    annihilator of a subspace of words is again a subspace of words.
+    annihilator of a subspace of words is again a subspace of words.  It
+    is read off the reversed canonical form, whose row r_p has leading
+    (greatest) word p: each other word j gives e_j - sum_p r_p[j] e_p.
+    Every such p exceeds j and no other row holds j or p, so these rows
+    are already canonical.
     """
-    return null_space(subspace)
+    field, last = subspace.field, subspace.ambient_dim - 1
+    reverse = reversed_subspace(subspace)
+    leads = {last - p for p in reverse.pivots}
+    rows = {j: {j: field.one} for j in range(last + 1) if j not in leads}
+    # leading words in increasing order, so each row's keys ascend
+    for p, row in zip(reversed(reverse.pivots), reversed(reverse.rows)):
+        for j, c in row.items():
+            if j != p:
+                rows[last - j][last - p] = field.neg(c)
+    return Subspace(field, subspace.ambient_dim, tuple(rows.values()),
+                    tuple(rows))
 
 
 def tensor_subspace(a, b):

@@ -1,8 +1,9 @@
 """Slow reference computations that tests compare the library against."""
 
 from nkoszul.errors import DimensionMismatch
-from nkoszul.linalg import Subspace, null_space
-from nkoszul.words import index_word, interleave_index
+from nkoszul.linalg import Subspace
+from nkoszul.words import (annihilator, index_word, interleave_index,
+                           tensor_subspace)
 
 
 def sparse_rows(rows):
@@ -81,8 +82,8 @@ class DenseMatrix:
 
     def kernel(self):
         """The null space of the rows, as a ``Subspace``."""
-        return null_space(Subspace.from_vectors(self.field, self.ncols,
-                                                sparse_rows(self.rows)))
+        return annihilator(Subspace.from_vectors(self.field, self.ncols,
+                                                 sparse_rows(self.rows)))
 
     def __eq__(self, other):
         return (isinstance(other, DenseMatrix) and self.field == other.field
@@ -137,6 +138,39 @@ def reference_transported_relations(algebra, matrix):
     images = [power.apply(row) for row in dense_rows(algebra.relations)]
     return Subspace.from_vectors(algebra.field, power.nrows,
                                  sparse_rows(images))
+
+
+def reference_annihilator(subspace):
+    """The annihilator read off the ascending canonical rows, then
+    eliminated a second time.
+
+    Each non-pivot column j gives e_j minus the entry of every row in
+    column j at that row's pivot; the library reads the same vectors off
+    the reversed canonical form, where they need no elimination.
+    """
+    field, pivots = subspace.field, subspace.pivots
+    taken = set(pivots)
+    vectors = {j: {j: field.one} for j in range(subspace.ambient_dim)
+               if j not in taken}
+    for p, row in zip(pivots, subspace.rows):
+        for j, v in row.items():
+            if j != p:
+                vectors[j][p] = field.neg(v)
+    return Subspace.from_vectors(field, subspace.ambient_dim,
+                                 vectors.values())
+
+
+def reference_circ_relations(a, b):
+    """R (x) E'^N + E^N (x) R' eliminated in separated coordinates, then
+    interleaved and eliminated again."""
+    field, N, ga, gb = a.field, a.N, a.dim_e, b.dim_e
+    ra = tensor_subspace(a.relations, Subspace.full(field, gb ** N))
+    rb = tensor_subspace(Subspace.full(field, ga ** N), b.relations)
+    sep = Subspace.from_vectors(field, ra.ambient_dim, ra.rows + rb.rows)
+    return Subspace.from_vectors(
+        field, sep.ambient_dim,
+        [{interleave_index(j, N, ga, gb): c for j, c in row.items()}
+         for row in sep.rows])
 
 
 def shuffle_map(field, n_blocks, dim_a, dim_b):

@@ -325,7 +325,7 @@ def test_convolution_matches_differential_composition():
         g, N = rng.randint(1, 2), rng.randint(2, 3)
         A = random_algebra(g, N, rng)
         f = random_isomorphism(A, rng)
-        if not convolution_check(f.source, f.target, f, N + 2, samples=5,
+        if not convolution_check(f, N + 2, samples=5,
                                  seed=rng.randint(0, 10 ** 6)):
             ok = False
         pairs += 5

@@ -1,7 +1,7 @@
 """Homogeneous algebras: graded engine, duals, products, morphisms."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import nkoszul.algebra as algebra_module
 from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, bullet, circ,
@@ -9,6 +9,7 @@ from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, bullet, circ,
                              full_relations_algebra, hilbert_dims, hom_algebra,
                              is_morphism, prop1_check, symmetric_algebra,
                              veronese_dims)
+from nkoszul.definitions import definition_from_algebra, serialize_definition
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.linalg import Subspace
@@ -20,7 +21,8 @@ from nkoszul.sampling import (random_algebra,
 from nkoszul.sparsela import Eliminator, SparseMatrix, primitive_row
 from nkoszul.words import index_word
 from oracles import (DenseMatrix, component_relations, dense_rows,
-                     kron_power, reference_transported_relations, row_axpy,
+                     kron_power, reference_circ_relations,
+                     reference_transported_relations, row_axpy,
                      sparse_rows, word_class)
 
 
@@ -141,6 +143,58 @@ def test_product_duality_identity():
         left = circ(A, B).dual()
         right = bullet(A.dual(), B.dual())
         assert left == right
+
+
+@given(st.sampled_from([QQ, GF(7), GF(32003)]), st.integers(1, 2),
+       st.integers(1, 2), st.integers(2, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+@example(QQ, 1, 1, 2, 0)
+def test_circ_relations_match_the_re_eliminating_oracle(field, ga, gb, N,
+                                                        seed):
+    rng = rng_from_seed(seed)
+    A = random_algebra(ga, N, rng, field=field)
+    B = random_algebra(gb, N, rng, field=field)
+    event("ambient 1" if ga * gb == 1 else "ambient > 1")
+    assert circ(A, B).relations == reference_circ_relations(A, B)
+
+
+def rows_fed(monkeypatch, compute):
+    """compute(), and the number of rows it feeds to Eliminator.add."""
+    fed = []
+    add = Eliminator.add
+
+    def counted(self, row):
+        fed.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(Eliminator, "add", counted)
+    result = compute()
+    monkeypatch.undo()
+    return len(fed), result
+
+
+def test_dual_serialize_and_circ_eliminate_once(monkeypatch):
+    # x^10 - y.x^9 (word 512 is y.x^9): R^perp has 1023 rows, read off
+    # R's one reversed row
+    line = NHomogeneousAlgebra(2, 10, Subspace.from_vectors(
+        QQ, 2 ** 10, [{0: 1, 512: -1}]))
+    algebras = [line]
+    for field in (QQ, GF(7), GF(32003)):
+        rng = rng_from_seed(17)
+        algebras += [random_algebra(2, 3, rng, field=field) for _ in range(3)]
+    for A in algebras:
+        fed, bang = rows_fed(monkeypatch, A.dual)
+        assert fed == A.relations.dim
+        assert bang.relations.dim == A.dim_e ** A.N - fed
+        fed, _ = rows_fed(monkeypatch, lambda: serialize_definition(
+            definition_from_algebra(bang)))
+        assert fed == 0
+    for A, B in zip(algebras[1:], algebras[2:]):
+        if A.field != B.field:
+            continue
+        fed, _ = rows_fed(monkeypatch, lambda: circ(A, B))
+        N, ga, gb = A.N, A.dim_e, B.dim_e
+        assert fed == A.relations.dim * gb ** N + ga ** N * B.relations.dim
 
 
 def test_circ_dimension_law():

@@ -153,6 +153,22 @@ def test_cli_hilbert_of_a_degree_40_definition_in_1_gib(tmp_path):
         assert line in res.stdout.splitlines()
 
 
+def test_cli_koszul_complex_of_a_degree_18_definition_in_192_mib(tmp_path):
+    # K(id) reads the dual, whose relation space R^perp has 2^18 - 1 rows:
+    # they are read off R's one reversed row, never eliminated
+    path = tmp_path / "deg18.alg"
+    path.write_text("generators x y\ndegree 18\nrelation %s - y.%s\n"
+                    % (".".join("x" * 18), ".".join("x" * 17)))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (192 << 20, 192 << 20))
+
+    res = run_cli(["koszul-complex", "--nmax", "4"], [path],
+                  preexec_fn=cap_address_space, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "slice n=4: 16 16 16 16 16" in res.stdout.splitlines()
+
+
 def test_cli_dual_of_free_line(defs):
     res = run_cli(["dual"], [defs["kt"]])
     assert res.returncode == 0

@@ -727,13 +727,13 @@ def test_koszul_element_powers_match_circ_route(field):
 
 def test_convolution_coherence():
     A = commutator_algebra()
-    assert convolution_check(A, A, Morphism.identity(A), 4, samples=6, seed=3)
+    assert convolution_check(Morphism.identity(A), 4, samples=6, seed=3)
     rng = rng_from_seed(29)
     B = random_algebra(2, 3, rng)
     f = random_isomorphism(B, rng)
-    assert convolution_check(f.source, f.target, f, 5, samples=5, seed=4)
+    assert convolution_check(f, 5, samples=5, seed=4)
     h = _twisted_inputs()[-1]      # fractional entries: twisted scale 12
-    assert convolution_check(h.source, h.target, h, 4, samples=3, seed=5)
+    assert convolution_check(h, 4, samples=3, seed=5)
 
 
 def test_convolution_composition_order():

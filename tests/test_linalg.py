@@ -1,4 +1,4 @@
-"""Exact linear algebra: sparse RREF, ranks, null spaces, subspace lattice,
+"""Exact linear algebra: sparse RREF, ranks, kernels, subspace lattice,
 and the sparse matrix type."""
 
 import pytest
@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
-from nkoszul.linalg import Subspace, null_space, rank, rref
+from nkoszul.linalg import Subspace, rank, rref
 from nkoszul.sparsela import SparseMatrix
+from nkoszul.words import annihilator
 from oracles import sparse_rows, subspace_intersect
 
 
@@ -40,7 +41,7 @@ def test_rref_fractions_stay_exact():
 
 def kernel(rows, ncols):
     """The null space of dense rows."""
-    return null_space(Subspace.from_vectors(QQ, ncols, sparse_rows(rows)))
+    return annihilator(Subspace.from_vectors(QQ, ncols, sparse_rows(rows)))
 
 
 def test_kernel_image_frozen():

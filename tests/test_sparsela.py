@@ -10,8 +10,7 @@ from hypothesis import (event, example, given, settings, strategies as st,
 
 from nkoszul.errors import ContractViolation
 from nkoszul.fields import GF, QQ
-from nkoszul.linalg import rref
-from nkoszul.reduction import _descending_rref
+from nkoszul.linalg import reversed_subspace, rref
 from nkoszul.sampling import random_subspace, rng_from_seed
 from nkoszul.sparsela import (Eliminator, apply_cols, modulus,
                               over_common_denominator)
@@ -200,12 +199,11 @@ def test_descending_rref_is_the_reversed_rref(field):
         rng = rng_from_seed(seed)
         amb = rng.choice([2, 4, 8, 9, 16, 27])
         rel = random_subspace(field, amb, rng)
-        last = amb - 1
         flipped = [row[::-1] for row in dense_rows(rel)]
         pivots, red = gauss_jordan_rref(field, flipped, amb)
-        want = {last - p: {last - j: c for j, c in enumerate(row) if c}
-                for p, row in zip(pivots, red)}
-        assert _descending_rref(rel) == want
+        got = reversed_subspace(rel)
+        assert list(got.pivots) == pivots
+        assert dense_rows(got) == red
 
 
 @settings(max_examples=80, deadline=None)

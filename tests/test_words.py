@@ -1,15 +1,16 @@
 """Word bases of tensor powers and the block-interleaving machinery."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from nkoszul.errors import DimensionMismatch
-from nkoszul.fields import QQ
+from nkoszul.fields import GF, QQ
 from nkoszul.linalg import Subspace
 from nkoszul.words import (WordBasis, annihilator, block_embed, index_word,
-                           interleave_index, interleave_subspace,
+                           interleave_index, interleaved_span,
                            tensor_subspace, word_index)
-from oracles import dense_rows, shuffle_map, sparse_rows
+from oracles import (dense_rows, reference_annihilator, shuffle_map,
+                     sparse_rows)
 
 
 def test_word_index_is_lexicographic():
@@ -96,7 +97,7 @@ def test_block_embed_matches_intersection_oracle():
 
 def test_interleave_subspace_preserves_dim():
     U = Subspace.from_vectors(QQ, 4, [{0: 1, 3: 1}, {1: 1, 2: 1}])
-    W = interleave_subspace(tensor_subspace(U, U), 2, 2, 2)
+    W = interleaved_span(QQ, tensor_subspace(U, U).rows, 2, 2, 2)
     assert W.ambient_dim == 16
     assert W.dim == 4
 
@@ -113,3 +114,33 @@ def test_annihilator_dimension_law(g, n, data):
         min_size=nrows, max_size=nrows))
     U = Subspace.from_vectors(QQ, amb, sparse_rows(rows))
     assert annihilator(U).dim == amb - U.dim
+
+
+@st.composite
+def spanning_rows(draw):
+    """(ambient dimension g^n, dense integer rows), zero rows included."""
+    amb = draw(st.sampled_from([1, 2, 3, 4, 8, 9, 16, 27]))
+    nrows = draw(st.integers(min_value=0, max_value=amb + 2))
+    rows = draw(st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=amb, max_size=amb),
+        min_size=nrows, max_size=nrows))
+    return amb, rows
+
+
+@given(spanning_rows(), st.sampled_from([QQ, GF(7), GF(32003)]))
+@settings(max_examples=80, deadline=None)
+@example((1, []), QQ)
+@example((1, [[2]]), GF(7))
+@example((4, [[int(i == j) for j in range(4)] for i in range(4)]), GF(32003))
+@example((9, [[(3 * i + j * j) % 5 - 2 for j in range(9)] for i in range(9)]),
+         QQ)
+def test_annihilator_matches_the_re_eliminating_oracle(case, field):
+    amb, rows = case
+    U = Subspace.from_vectors(field, amb, sparse_rows(rows))
+    event("dim R > g^n/2" if 2 * U.dim > amb else "dim R <= g^n/2")
+    event("zero" if U.dim == 0 else "full" if U.dim == amb else "between")
+    perp = annihilator(U)
+    assert perp == reference_annihilator(U)
+    assert perp.dim == amb - U.dim
+    assert annihilator(perp) == U
