@@ -19,7 +19,7 @@ from .errors import ContractViolation, DefinitionError, DimensionMismatch
 from .koszul import (ContractedComplex, generalized_homology, koszul_K,
                      koszul_L, koszulity_check, tor_purity, verdict_string)
 from .reduction import lemma3_check, reduction_operator
-from .words import index_word
+from .words import WordBasis
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,10 +79,6 @@ def _load(path, field_override):
     except OSError as exc:
         raise DefinitionError(str(exc), source=path) from None
     return parse_definition(text, source=path, field_override=field_override)
-
-
-def _word_name(defn, word):
-    return ".".join(defn.generators[k] for k in word)
 
 
 class _Report:
@@ -219,11 +215,8 @@ def _run(args):
         report.add("conclusion", res.conclusion)
     elif cmdname == "reduce":
         op = reduction_operator(A.relations, A.N)
-        defn = defns[0]
-
-        def name(w):
-            return _word_name(defn, index_word(w, A.dim_e, A.N))
-
+        name = functools.partial(WordBasis(A.dim_e, A.N).label,
+                                 names=defns[0].generators)
         report.add("relations", A.relations.dim)
         report.add("leading_words", [name(w) for w in op.leading_words])
         report.add("image_dim",

@@ -10,6 +10,9 @@ fractions, terms are joined with ``+`` / ``-``::
     degree 2
     relation 1*x.y - 1*y.x
 
+Relations are held as sparse rows {word index: scalar}, the format of
+``Subspace.rows``, with words indexed as in ``words``; a word is spelled
+from its index (``WordBasis.label``) only when a definition is printed.
 Definitions compare structurally (field, generator count, degree and the
 span of the relations); generator names are presentation only.
 """
@@ -20,7 +23,7 @@ from .algebra import NHomogeneousAlgebra
 from .errors import DefinitionError
 from .fields import field_from_name, field_name
 from .linalg import Subspace
-from .words import index_word, word_index
+from .words import WordBasis, word_index
 
 _TOKEN = re.compile(r"\S+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
@@ -28,26 +31,23 @@ _COEFF = re.compile(r"-?\d+(/\d+)?$")
 
 
 class AlgebraDefinition:
-    """Parsed content of a definition file."""
+    """Parsed content of a definition file.
+
+    ``relations`` is a list of sparse rows {word index: scalar} over the
+    words of length ``degree``, as in ``Subspace.rows``; their scalars are
+    coerced into the definition's field when the span is taken.
+    """
 
     def __init__(self, field_spec, generators, degree, relations):
         self.field_spec = field_spec
         self.field = field_from_name(field_spec)
         self.generators = tuple(generators)
         self.degree = degree
-        self.relations = relations  # list of [(coeff, word-index-tuple), ...]
+        self.relations = relations
 
     def relation_subspace(self):
-        g = len(self.generators)
-        field = self.field
-        rows = []
-        for terms in self.relations:
-            row = {}
-            for coeff, word in terms:
-                j = word_index(word, g)
-                row[j] = field.add(row.get(j, field.zero), field.coerce(coeff))
-            rows.append(row)
-        return Subspace.from_vectors(field, g ** self.degree, rows)
+        return Subspace.from_vectors(
+            self.field, len(self.generators) ** self.degree, self.relations)
 
     def to_algebra(self):
         return NHomogeneousAlgebra(
@@ -90,11 +90,11 @@ def _parse_word(text, lineno, col, names, degree, source):
     if degree is not None and len(word) != degree:
         _fail("word %r has length %d, expected %d" % (text, len(word), degree),
               lineno, col, source)
-    return tuple(word)
+    return word_index(word, len(names))
 
 
 def _parse_relation(tokens, lineno, names, degree, field, source):
-    terms = []
+    row = {}
     sign = 1
     expect_term = True
     for col, tok in tokens:
@@ -112,7 +112,7 @@ def _parse_relation(tokens, lineno, names, degree, field, source):
             word_col = col + len(coeff_text) + 1
         else:
             coeff, word_text, word_col = "1", tok, col
-        word = _parse_word(word_text, lineno, word_col, names, degree, source)
+        j = _parse_word(word_text, lineno, word_col, names, degree, source)
         try:
             value = field.coerce(coeff)
         except ZeroDivisionError:
@@ -120,13 +120,14 @@ def _parse_relation(tokens, lineno, names, degree, field, source):
                   lineno, col, source)
         if sign < 0:
             value = field.neg(value)
-        terms.append((value, word))
+        row[j] = field.add(row.get(j, field.zero), value)
         sign = 1
         expect_term = False
     if expect_term:
         _fail("relation ends with a dangling sign", lineno,
               tokens[-1][0] if tokens else 1, source)
-    return terms
+    # repeated words may cancel
+    return {j: c for j, c in row.items() if c}
 
 
 def parse_definition(text, source=None, field_override=None):
@@ -186,25 +187,27 @@ def parse_definition(text, source=None, field_override=None):
         field_spec, field = field_override, None
     if field is None:
         field = field_from_name(field_spec)
-    relations = [_parse_relation(toks, lineno, names, degree, field, source)
-                 for lineno, toks in pending]
+    rows = (_parse_relation(toks, lineno, names, degree, field, source)
+            for lineno, toks in pending)
+    relations = [row for row in rows if row]
     return AlgebraDefinition(field_spec, generators, degree, relations)
 
 
 def serialize_definition(definition):
-    """The definition as text, its relations printed term by term as held.
+    """The definition as text, each relation row in ascending word order.
 
     ``definition_from_algebra(defn.to_algebra())`` holds the reduced
     relation rows, so its text is canonical.
     """
     names = definition.generators
+    basis = WordBasis(len(names), definition.degree)
     lines = ["field %s" % definition.field_spec,
              "generators %s" % " ".join(names),
              "degree %d" % definition.degree]
-    for terms in definition.relations:
+    for row in definition.relations:
         parts = []
-        for c, word in terms:
-            text = "%s*%s" % (c, ".".join(names[k] for k in word))
+        for j, c in sorted(row.items()):
+            text = "%s*%s" % (c, basis.label(j, names))
             if parts and text.startswith("-"):
                 parts.append("- " + text[1:])
             elif parts:
@@ -221,11 +224,5 @@ def definition_from_algebra(algebra):
     if (len(set(generators)) != len(generators)
             or not all(_NAME.match(n) for n in generators)):
         generators = ["g%d" % i for i in range(algebra.dim_e)]
-    g = algebra.dim_e
-    relations = []
-    for row in algebra.relations.rows:
-        terms = [(c, index_word(j, g, algebra.N))
-                 for j, c in sorted(row.items())]
-        relations.append(terms)
     return AlgebraDefinition(field_name(algebra.field), generators, algebra.N,
-                             relations)
+                             list(algebra.relations.rows))

@@ -223,6 +223,15 @@ class _KoszulSlice:
             self._ranks[key] = r
         return r
 
+    def homology_at(self, k, p):
+        """dim Ker(d^p)/Im(d^{N-p}) at position k; maps off the slice are zero."""
+        dim = self.position_dim(k)
+        if not dim:
+            return 0
+        k_in = k - (self.N - p)
+        rank_in = self.rank_power(k_in, self.N - p) if k_in >= 0 else 0
+        return dim - self.rank_power(k, p) - rank_in
+
     def verify_dN(self):
         """Exact check that every in-range N-fold composite vanishes.
 
@@ -396,20 +405,10 @@ def generalized_homology(slice_, p):
     Returns {(p, position label): dim}.  Maps beyond either end of the
     slice are zero.
     """
-    N = slice_.N
-    if not 1 <= p <= N - 1:
+    if not 1 <= p <= slice_.N - 1:
         raise DimensionMismatch("p must satisfy 1 <= p <= N-1")
-    entries = {}
-    for k in range(len(slice_.positions)):
-        info = slice_.positions[k]
-        if info.dim == 0:
-            entries[(p, info.label)] = 0
-            continue
-        rank_out = slice_.rank_power(k, p)
-        k_in = k - (N - p)
-        rank_in = slice_.rank_power(k_in, N - p) if k_in >= 0 else 0
-        entries[(p, info.label)] = info.dim - rank_out - rank_in
-    return entries
+    return {(p, info.label): slice_.homology_at(k, p)
+            for k, info in enumerate(slice_.positions)}
 
 
 def slice_acyclic(slice_):
@@ -463,24 +462,13 @@ class ContractedComplex:
             self._slices[t] = sl
         return sl
 
-    def block_dim(self, i, t):
-        k = self.k_index(i)
-        if k > t:
-            return 0
-        return self.slice(t).position_dim(t - k)
-
-    def rank_map(self, i, t):
-        """Rank of the map block i -> block i-1 in total degree t."""
-        if i < 1:
-            return 0
-        k = self.k_index(i)
-        if k > t:
-            return 0
-        return self.slice(t).rank_power(t - k, self.step(i))
-
     def homology_dim(self, i, t):
-        return (self.block_dim(i, t) - self.rank_map(i, t)
-                - self.rank_map(i + 1, t))
+        # block i is position t - k(i) of the slice, d^step(i) leaves it
+        # and step(i) + step(i+1) = N: the slice's homology there
+        k = self.k_index(i)
+        if k > t:
+            return 0
+        return self.slice(t).homology_at(t - k, self.step(i))
 
     def h0_dims(self, t_max):
         return [self.homology_dim(0, t) for t in range(t_max + 1)]

@@ -16,6 +16,11 @@ from nkoszul.errors import DefinitionError
 WEDGE3 = "field rational\ngenerators d\ndegree 3\nrelation 1*d.d.d\n"
 KXY = "generators x y\ndegree 2\nrelation 1*x.y - 1*y.x\n"
 KT = "generators t\ndegree 2\n"
+# repeated words add up; cancelled ones leave no term and no relation
+REPEATED = ("generators x y\ndegree 2\nrelation x.y + 2*x.y - y.x\n"
+            "relation x.y - x.y\n")
+ZERO_MOD_7 = ("field gf:7\ngenerators x y\ndegree 2\nrelation 7*x.y\n"
+              "relation 14*x.x + y.x\n")
 
 
 def test_parse_wedge():
@@ -34,12 +39,17 @@ def test_parse_commutator():
 def test_round_trip():
     for text in (WEDGE3, KXY, KT,
                  "field gf:7\ngenerators x y\ndegree 2\nrelation 3*x.y + 4*y.x\n",
-                 "generators x y\ndegree 2\nrelation x.x + 1/2*y.y - y.x\n"):
+                 "generators x y\ndegree 2\nrelation x.x + 1/2*y.y - y.x\n",
+                 "generators x y\ndegree 2\nrelation x.y - x.y + y.y\n",
+                 REPEATED, ZERO_MOD_7):
         defn = parse_definition(text)
         out = serialize_definition(defn)
+        assert "0*" not in out and "relation \n" not in out
         again = parse_definition(out)
         assert again == defn
         assert serialize_definition(again) == out
+    assert parse_definition(REPEATED).relations == [{1: 3, 2: -1}]
+    assert parse_definition(ZERO_MOD_7).relations == [{2: 1}]
 
 
 def test_comments_and_blank_lines():
@@ -104,6 +114,9 @@ def test_definition_from_algebra_round_trip():
     assert defn.to_algebra() == A
     dual_def = definition_from_algebra(A.dual())
     assert dual_def.to_algebra() == A.dual()
+    # the algebra's relation rows are handed over as they are
+    for B in (A, A.dual()):
+        assert definition_from_algebra(B).relations == list(B.relations.rows)
 
 
 def run_cli(args, files, **kwargs):
@@ -167,6 +180,27 @@ def test_cli_koszul_complex_of_a_degree_18_definition_in_192_mib(tmp_path):
                   preexec_fn=cap_address_space, timeout=120)
     assert res.returncode == 0, res.stderr
     assert "slice n=4: 16 16 16 16 16" in res.stdout.splitlines()
+
+
+def test_cli_dual_of_a_degree_18_definition_in_224_mib(tmp_path):
+    # the dual's 2^18 - 1 relation rows go from the algebra to the report
+    # as they are held, each word spelled only as its line is printed
+    path = tmp_path / "deg18.alg"
+    path.write_text("generators x y\ndegree 18\nrelation %s - y.%s\n"
+                    % (".".join("x" * 18), ".".join("x" * 17)))
+    first = "  relation 1*%s + 1*y_d.%s" % (".".join(["x_d"] * 18),
+                                            ".".join(["x_d"] * 17))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (224 << 20, 224 << 20))
+
+    res = run_cli(["dual"], [path], preexec_fn=cap_address_space,
+                  timeout=120)
+    assert res.returncode == 0, res.stderr
+    lines = [line for line in res.stdout.splitlines()
+             if line.startswith("  relation ")]
+    assert len(lines) == 2 ** 18 - 1
+    assert lines[0] == first
 
 
 def test_cli_dual_of_free_line(defs):
