@@ -16,7 +16,7 @@ poly = symmetric_algebra(2, gen_names=["x", "y"])
 basis = WordBasis(2, 2)
 names = poly.gen_names
 
-op = reduction_operator(poly.relations, 2)
+op = reduction_operator(poly.relations)
 print("leading words:", [basis.label(w, names) for w in op.leading_words])
 # S fixes every word it does not rewrite; those words span Im(S)
 fixed = [w for w in range(poly.relations.ambient_dim) if w not in op.rewrites]

@@ -57,11 +57,10 @@ class GradedComponent:
     ``elim``.
     """
 
-    __slots__ = ("n", "dim", "normal_words", "word_pos", "elim", "rmul_cols",
+    __slots__ = ("dim", "normal_words", "word_pos", "elim", "rmul_cols",
                  "int_cols", "den", "lden", "lmul_cols")
 
-    def __init__(self, n, normal_words, elim):
-        self.n = n
+    def __init__(self, normal_words, elim):
         self.normal_words = normal_words
         self.word_pos = {w: i for i, w in enumerate(normal_words)}
         self.dim = len(normal_words)
@@ -83,7 +82,7 @@ def _default_names(dim_e):
 class NHomogeneousAlgebra:
     """T(E)/(R) for R inside the N-th tensor power of E."""
 
-    def __init__(self, dim_e, degree, relations, gen_names=None, label=None):
+    def __init__(self, dim_e, degree, relations, gen_names=None):
         if degree < 2:
             raise DimensionMismatch("relation degree must be at least 2")
         if dim_e < 0:
@@ -99,8 +98,7 @@ class NHomogeneousAlgebra:
         self.gen_names = tuple(gen_names) if gen_names else _default_names(dim_e)
         if len(self.gen_names) != dim_e:
             raise DimensionMismatch("need %d generator names" % dim_e)
-        self.label = label
-        unit = GradedComponent(0, (0,), None)
+        unit = GradedComponent((0,), None)
         unit.den = unit.lden = 1
         self._components = [unit]
         self._int_relation_rows = None
@@ -120,7 +118,7 @@ class NHomogeneousAlgebra:
 
     def __repr__(self):
         return "NHomogeneousAlgebra(%s: dim E=%d, N=%d, dim R=%d over %r)" % (
-            self.label or "?", self.dim_e, self.N, self.relations.dim,
+            ",".join(self.gen_names), self.dim_e, self.N, self.relations.dim,
             self.field)
 
     # -- graded engine -------------------------------------------------
@@ -219,7 +217,7 @@ class NHomogeneousAlgebra:
             if col not in pivot_rows:
                 src, letter = divmod(col, g)
                 normal_words.append(prev.normal_words[src] * g + letter)
-        return GradedComponent(n, tuple(normal_words), elim)
+        return GradedComponent(tuple(normal_words), elim)
 
     def _build_tables(self, n):
         """Back-substitute degree n and build its tables from the RREF.
@@ -319,9 +317,8 @@ class NHomogeneousAlgebra:
         if self._dual is None:
             rperp = annihilator(self.relations)
             names = tuple(nm + "'" for nm in self.gen_names)
-            label = (self.label + "!") if self.label else None
             self._dual = NHomogeneousAlgebra(self.dim_e, self.N, rperp,
-                                             gen_names=names, label=label)
+                                             gen_names=names)
         return self._dual
 
 
@@ -361,11 +358,7 @@ def circ(a, b):
     ra = tensor_subspace(a.relations, Subspace.full(field, gb ** N))
     rb = tensor_subspace(Subspace.full(field, ga ** N), b.relations)
     rel = interleaved_span(field, ra.rows + rb.rows, N, ga, gb)
-    label = None
-    if a.label and b.label:
-        label = "(%s)o(%s)" % (a.label, b.label)
-    return NHomogeneousAlgebra(ga * gb, N, rel,
-                               gen_names=_pair_names(a, b), label=label)
+    return NHomogeneousAlgebra(ga * gb, N, rel, gen_names=_pair_names(a, b))
 
 
 def bullet(a, b):
@@ -375,11 +368,7 @@ def bullet(a, b):
     ga, gb = a.dim_e, b.dim_e
     rows = tensor_subspace(a.relations, b.relations).rows
     rel = interleaved_span(a.field, rows, N, ga, gb)
-    label = None
-    if a.label and b.label:
-        label = "(%s).(%s)" % (a.label, b.label)
-    return NHomogeneousAlgebra(ga * gb, N, rel,
-                               gen_names=_pair_names(a, b), label=label)
+    return NHomogeneousAlgebra(ga * gb, N, rel, gen_names=_pair_names(a, b))
 
 
 def _transported_rows(algebra, matrix):
@@ -460,7 +449,8 @@ class Morphism:
         return self.relations_image() == self.target.relations
 
     def __repr__(self):
-        return "Morphism(%r -> %r)" % (self.source.label, self.target.label)
+        return "Morphism(%s -> %s)" % (",".join(self.source.gen_names),
+                                       ",".join(self.target.gen_names))
 
 
 def end_algebra(a):
@@ -482,23 +472,19 @@ def prop1_check(a, b, n_max):
 
 # -- stock algebras -----------------------------------------------------
 
-def free_algebra(dim_e, degree, field=QQ, gen_names=None, label=None):
+def free_algebra(dim_e, degree, field=QQ, gen_names=None):
     rel = Subspace.zero(field, dim_e ** degree)
-    return NHomogeneousAlgebra(dim_e, degree, rel, gen_names=gen_names,
-                               label=label or "free(%d,N=%d)" % (dim_e, degree))
+    return NHomogeneousAlgebra(dim_e, degree, rel, gen_names=gen_names)
 
 
-def full_relations_algebra(dim_e, degree, field=QQ, gen_names=None,
-                           label=None):
+def full_relations_algebra(dim_e, degree, field=QQ, gen_names=None):
     rel = Subspace.full(field, dim_e ** degree)
-    return NHomogeneousAlgebra(dim_e, degree, rel, gen_names=gen_names,
-                               label=label or "trunc(%d,N=%d)" % (dim_e, degree))
+    return NHomogeneousAlgebra(dim_e, degree, rel, gen_names=gen_names)
 
 
-def symmetric_algebra(dim_e, field=QQ, gen_names=None, label=None):
+def symmetric_algebra(dim_e, field=QQ, gen_names=None):
     """Commutative polynomials in dim_e variables (relation degree 2)."""
     vectors = [{i * dim_e + j: 1, j * dim_e + i: -1}
                for i in range(dim_e) for j in range(i + 1, dim_e)]
     rel = Subspace.from_vectors(field, dim_e ** 2, vectors)
-    return NHomogeneousAlgebra(dim_e, 2, rel, gen_names=gen_names,
-                               label=label or "sym(%d)" % dim_e)
+    return NHomogeneousAlgebra(dim_e, 2, rel, gen_names=gen_names)

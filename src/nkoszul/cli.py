@@ -2,8 +2,8 @@
 
 Reads algebra definition files, runs one computation per invocation and
 prints a deterministic key/value report (or JSON with --json).  Exit
-codes: 0 success, 1 parse or validation error, 2 internal invariant
-failure.
+codes: 0 success, 1 parse or validation error or out of memory, 2
+internal invariant failure.
 """
 
 import argparse
@@ -16,6 +16,7 @@ from .algebra import Morphism, circ, bullet, hilbert_dims
 from .definitions import (definition_from_algebra, parse_definition,
                           serialize_definition)
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
+from .fields import field_name
 from .koszul import (ContractedComplex, generalized_homology, koszul_K,
                      koszul_L, koszulity_check, tor_purity, verdict_string)
 from .reduction import lemma3_check, reduction_operator
@@ -117,7 +118,7 @@ def _header(report, args, defns, paths):
     for i, path in enumerate(paths):
         report.add("input" if len(paths) == 1 else "input%d" % (i + 1), path)
     main = defns[0]
-    report.add("field", main.field_spec)
+    report.add("field", field_name(main.field))
     report.add("generators", list(main.generators))
     report.add("degree", main.degree)
     report.add("seed", args.seed)
@@ -181,7 +182,7 @@ def _run(args):
             sl = koszul_K(ident, n)
             for p in ps:
                 h = generalized_homology(sl, p)
-                dims = [h[(p, sl.positions[k].label)]
+                dims = [h[(p, sl.positions[k].w_degree)]
                         for k in range(n + 1)]
                 report.add("homology n=%d p=%d" % (n, p), dims)
     elif cmdname == "contracted":
@@ -214,7 +215,7 @@ def _run(args):
         report.add("equal", res.equal)
         report.add("conclusion", res.conclusion)
     elif cmdname == "reduce":
-        op = reduction_operator(A.relations, A.N)
+        op = reduction_operator(A.relations)
         name = functools.partial(WordBasis(A.dim_e, A.N).label,
                                  names=defns[0].generators)
         report.add("relations", A.relations.dim)
@@ -234,11 +235,12 @@ def main(argv=None):
     start = time.monotonic()
     try:
         report = _run(args)
-    except DefinitionError as exc:
+    except ValueError as exc:   # DefinitionError, DimensionMismatch too
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except (DimensionMismatch, ValueError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
+    except MemoryError:
+        sys.stderr.write("error: out of memory; the input is too large for "
+                         "%s\n" % args.command)
         return 1
     except ContractViolation as exc:
         sys.stderr.write(

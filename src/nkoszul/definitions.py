@@ -21,7 +21,7 @@ import re
 
 from .algebra import NHomogeneousAlgebra
 from .errors import DefinitionError
-from .fields import field_from_name, field_name
+from .fields import QQ, field_from_name, field_name
 from .linalg import Subspace
 from .words import WordBasis, word_index
 
@@ -33,13 +33,14 @@ _COEFF = re.compile(r"-?\d+(/\d+)?$")
 class AlgebraDefinition:
     """Parsed content of a definition file.
 
+    The constructor takes a field name and keeps only the ``field``;
+    ``field_name`` spells it canonically (``gf:07`` as ``gf:7``).
     ``relations`` is a list of sparse rows {word index: scalar} over the
     words of length ``degree``, as in ``Subspace.rows``; their scalars are
     coerced into the definition's field when the span is taken.
     """
 
     def __init__(self, field_spec, generators, degree, relations):
-        self.field_spec = field_spec
         self.field = field_from_name(field_spec)
         self.generators = tuple(generators)
         self.degree = degree
@@ -52,19 +53,19 @@ class AlgebraDefinition:
     def to_algebra(self):
         return NHomogeneousAlgebra(
             len(self.generators), self.degree, self.relation_subspace(),
-            gen_names=self.generators, label=",".join(self.generators))
+            gen_names=self.generators)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraDefinition):
             return NotImplemented
-        return (self.field_spec == other.field_spec
+        return (self.field == other.field
                 and len(self.generators) == len(other.generators)
                 and self.degree == other.degree
                 and self.relation_subspace() == other.relation_subspace())
 
     def __repr__(self):
         return "AlgebraDefinition(%s, generators=%r, degree=%d, %d relations)" % (
-            self.field_spec, list(self.generators), self.degree,
+            field_name(self.field), list(self.generators), self.degree,
             len(self.relations))
 
 
@@ -133,11 +134,10 @@ def _parse_relation(tokens, lineno, names, degree, field, source):
 def parse_definition(text, source=None, field_override=None):
     """Parse definition text; raises DefinitionError with line/column.
 
-    A ``field_override`` (a field name) replaces the file's ``field`` line:
-    the coefficients are then read in that field.
+    A ``field_override`` (a field name) replaces the field of the file's
+    ``field`` line: the coefficients are then read in that field.
     """
-    field_spec = "rational"
-    field = None
+    field = QQ
     generators = None
     names = None
     degree = None
@@ -156,7 +156,6 @@ def parse_definition(text, source=None, field_override=None):
                 field = field_from_name(rest[0][1])
             except ValueError as exc:
                 _fail(str(exc), lineno, rest[0][0], source)
-            field_spec = rest[0][1]
         elif keyword == "generators":
             if not rest:
                 _fail("no generator names", lineno, col0, source)
@@ -169,7 +168,7 @@ def parse_definition(text, source=None, field_override=None):
                 generators.append(name)
             names = {n: i for i, n in enumerate(generators)}
         elif keyword == "degree":
-            if len(rest) != 1 or not rest[0][1].isdigit() or int(rest[0][1]) < 2:
+            if len(rest) != 1 or not rest[0][1].isdecimal() or int(rest[0][1]) < 2:
                 _fail("degree must be an integer >= 2", lineno,
                       rest[0][0] if rest else col0, source)
             degree = int(rest[0][1])
@@ -183,14 +182,12 @@ def parse_definition(text, source=None, field_override=None):
         _fail("missing 'generators' line", 1, 1, source)
     if degree is None:
         _fail("missing 'degree' line", 1, 1, source)
-    if field_override and field_override != field_spec:
-        field_spec, field = field_override, None
-    if field is None:
-        field = field_from_name(field_spec)
+    if field_override:
+        field = field_from_name(field_override)
     rows = (_parse_relation(toks, lineno, names, degree, field, source)
             for lineno, toks in pending)
     relations = [row for row in rows if row]
-    return AlgebraDefinition(field_spec, generators, degree, relations)
+    return AlgebraDefinition(field_name(field), generators, degree, relations)
 
 
 def serialize_definition(definition):
@@ -201,7 +198,7 @@ def serialize_definition(definition):
     """
     names = definition.generators
     basis = WordBasis(len(names), definition.degree)
-    lines = ["field %s" % definition.field_spec,
+    lines = ["field %s" % field_name(definition.field),
              "generators %s" % " ".join(names),
              "degree %d" % definition.degree]
     for row in definition.relations:

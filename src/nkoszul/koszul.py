@@ -46,7 +46,7 @@ from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
                        over_common_denominator, settled, transpose_cols)
 
 PositionInfo = namedtuple("PositionInfo",
-                          ["label", "c_degree", "w_degree", "dim",
+                          ["c_degree", "w_degree", "dim",
                            "c_dim", "w_dim"])
 
 
@@ -283,7 +283,7 @@ class NComplexSlice(_KoszulSlice):
             m = n - k
             c_dim = self.target.dim(k)
             w_dim = self.bang.dim(m)
-            self.positions.append(PositionInfo(m, k, m, c_dim * w_dim,
+            self.positions.append(PositionInfo(k, m, c_dim * w_dim,
                                                c_dim, w_dim))
 
     def rank_power(self, k, e):
@@ -360,13 +360,12 @@ class LComplexSlice(_KoszulSlice):
     def __init__(self, morphism, delta, bound):
         super().__init__(morphism)
         self.delta = delta
-        self.bound = bound
         self.positions = []
         for m in range(max(0, -delta), min(bound, bound - delta) + 1):
             s = m + delta
             b_dim = self.bang.dim(m)
             c_dim = self.target.dim(s)
-            self.positions.append(PositionInfo(m, s, m, b_dim * c_dim,
+            self.positions.append(PositionInfo(s, m, b_dim * c_dim,
                                                c_dim, b_dim))
 
     def _forward(self, src, tgt):
@@ -402,12 +401,12 @@ def koszul_L(morphism, max_degree):
 def generalized_homology(slice_, p):
     """dim Ker(d^p)/Im(d^{N-p}) at every position of a slice.
 
-    Returns {(p, position label): dim}.  Maps beyond either end of the
-    slice are zero.
+    Returns {(p, w_degree): dim}, keyed by each position's dual-side
+    degree m.  Maps beyond either end of the slice are zero.
     """
     if not 1 <= p <= slice_.N - 1:
         raise DimensionMismatch("p must satisfy 1 <= p <= N-1")
-    return {(p, info.label): slice_.homology_at(k, p)
+    return {(p, info.w_degree): slice_.homology_at(k, p)
             for k, info in enumerate(slice_.positions)}
 
 
@@ -747,7 +746,6 @@ class ConvolutionContext:
     """Convolution algebra structure on degree-0 maps (B^!)* -> C."""
 
     def __init__(self, source, target):
-        self.source = source
         self.target = target
         self.bang = source.dual()
         self.field = source.field

@@ -22,11 +22,10 @@ class ReductionOperator:
 
     ``rewrites`` maps each leading word to its image under S, a sparse
     column {word: scalar} of strictly smaller words; S fixes every other
-    word.
+    word.  Words are indices into the ambient space of ``relations``.
     """
 
-    def __init__(self, n, rewrites, relations):
-        self.n = n
+    def __init__(self, rewrites, relations):
         self.rewrites = rewrites
         self.leading_words = sorted(rewrites)
         self.relations = relations
@@ -38,12 +37,14 @@ class ReductionOperator:
         return apply_cols(modulus(self.relations.field), cols, vector)
 
     def __repr__(self):
-        return "ReductionOperator(n=%d, leading=%r)" % (
-            self.n, self.leading_words)
+        return "ReductionOperator(leading=%r)" % (self.leading_words,)
 
 
-def reduction_operator(relations, word_length):
-    """Build S from R, then verify descent, idempotence and Ker S = R."""
+def reduction_operator(relations):
+    """Build S from R, then verify descent, idempotence and Ker S = R.
+
+    S acts on the word indices of R's ambient space, so it needs no n.
+    """
     field, last = relations.field, relations.ambient_dim - 1
     # S sends each leading word to minus the rest of its relation
     reverse = reversed_subspace(relations)
@@ -54,7 +55,7 @@ def reduction_operator(relations, word_length):
         if any(w >= lead for w in col):
             raise ContractViolation(
                 "rewrite of word %d does not descend" % lead)
-    op = ReductionOperator(word_length, rewrites, relations)
+    op = ReductionOperator(rewrites, relations)
     if any(op.apply(col) != col for col in rewrites.values()):
         raise ContractViolation("operator is not idempotent")
     # S is idempotent, so Ker S = Im(1 - S), spanned by e_a - S(e_a)

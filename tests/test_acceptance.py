@@ -290,8 +290,8 @@ def test_monomial_dichotomy_and_reduction_operators():
                 for r in (1, 2):
                     if lemma3_check(R, r, 2).equal != (size in (0, amb)):
                         ok = False
-                op = reduction_operator(R, N)
-                big = reduction_operator(block_embed(R, 2, 0, 1), N + 1)
+                op = reduction_operator(R)
+                big = reduction_operator(block_embed(R, 2, 0, 1))
                 if (kron(operator_matrix(op), DenseMatrix.identity(QQ, 2))
                         != operator_matrix(big)):
                     ok = False
@@ -307,8 +307,8 @@ def test_monomial_dichotomy_and_reduction_operators():
         r = rng.choice((1, 2))
         if lemma3_check(R, r, 2).equal:
             ok = False
-        op = reduction_operator(R, N)
-        big = reduction_operator(block_embed(R, 2, 0, r), N + r)
+        op = reduction_operator(R)
+        big = reduction_operator(block_embed(R, 2, 0, r))
         if (kron(operator_matrix(op), DenseMatrix.identity(QQ, 2 ** r))
                 != operator_matrix(big)):
             ok = False

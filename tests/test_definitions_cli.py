@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,9 @@ from nkoszul.definitions import (definition_from_algebra, parse_definition,
                                  serialize_definition)
 from nkoszul.algebra import hilbert_dims, symmetric_algebra
 from nkoszul.errors import DefinitionError
+from nkoszul.fields import QQ
 
+DEFINITIONS = Path(__file__).resolve().parent.parent / "demos" / "definitions"
 WEDGE3 = "field rational\ngenerators d\ndegree 3\nrelation 1*d.d.d\n"
 KXY = "generators x y\ndegree 2\nrelation 1*x.y - 1*y.x\n"
 KT = "generators t\ndegree 2\n"
@@ -31,7 +34,7 @@ def test_parse_wedge():
 
 def test_parse_commutator():
     defn = parse_definition(KXY)
-    assert defn.field_spec == "rational"
+    assert defn.field == QQ
     A = defn.to_algebra()
     assert hilbert_dims(A, 4) == [1, 2, 3, 4, 5]
 
@@ -50,6 +53,10 @@ def test_round_trip():
         assert serialize_definition(again) == out
     assert parse_definition(REPEATED).relations == [{1: 3, 2: -1}]
     assert parse_definition(ZERO_MOD_7).relations == [{2: 1}]
+    # the field is held once: gf:07 and gf:7 name the same definition
+    padded = parse_definition(ZERO_MOD_7.replace("gf:7", "gf:07"))
+    assert padded == parse_definition(ZERO_MOD_7)
+    assert serialize_definition(padded).startswith("field gf:7\n")
 
 
 def test_comments_and_blank_lines():
@@ -88,6 +95,13 @@ def test_error_non_prime_modulus():
     e = err("field gf:10\ngenerators x\ndegree 2\n")
     assert e.line == 1
     assert "not prime" in e.message
+
+
+def test_error_degree_is_a_decimal_integer():
+    # "²" is a digit to str.isdigit but not a decimal to int()
+    e = err("generators x\ndegree \u00b2\n")
+    assert (e.line, e.col) == (2, 8)
+    assert "degree must be an integer >= 2" in e.message
 
 
 def test_error_missing_sections():
@@ -203,6 +217,22 @@ def test_cli_dual_of_a_degree_18_definition_in_224_mib(tmp_path):
     assert lines[0] == first
 
 
+def test_cli_out_of_memory_is_an_error_line():
+    # R (x) E^40 lies in a word space of dimension 2^42: lemma3 cannot
+    # hold it in 192 MiB, and must say so in one line, not a traceback
+    path = DEFINITIONS / "poly2.alg"
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (192 << 20, 192 << 20))
+
+    res = run_cli(["lemma3", "--r", "40"], [path],
+                  preexec_fn=cap_address_space, timeout=120)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error:")
+    assert len(res.stderr.splitlines()) == 1
+
+
 def test_cli_dual_of_free_line(defs):
     res = run_cli(["dual"], [defs["kt"]])
     assert res.returncode == 0
@@ -269,6 +299,10 @@ def test_cli_field_override(defs):
     assert res.returncode == 0
     assert "field: gf:7" in res.stdout
     assert "dims: 1 2 3 4" in res.stdout
+    res = run_cli(["hilbert", "--nmax", "3", "--field", "gf:07"],
+                  [defs["kxy"]])
+    assert res.returncode == 0
+    assert "field: gf:7" in res.stdout.splitlines()
 
 
 def test_cli_reduce(defs):
@@ -315,7 +349,7 @@ def test_field_override_rereads_coefficients():
     # -1 read in GF(7) is 6; under a rational override it must stay -1
     text = "field gf:7\ngenerators x y\ndegree 2\nrelation x.y - 1*y.x\n"
     defn = parse_definition(text, field_override="rational")
-    assert defn.field_spec == "rational"
+    assert defn.field == QQ
     assert defn == parse_definition(KXY)
 
 

@@ -1,8 +1,10 @@
 """Nothing in the sources is bound and never read.
 
 Every imported name and every local variable in src/, tests/ and demos/
-is read where it is bound, and every function, class and method defined
-in src/ is read somewhere in src/, demos/ or bench/.
+is read where it is bound, every function, class and method defined
+in src/ is read somewhere in src/, demos/ or bench/, and every attribute
+a class in src/ stores is read somewhere in src/, demos/, bench/ or
+tests/.
 """
 
 import ast
@@ -200,3 +202,88 @@ def test_dead_definition_scan_sees_each_form():
         (8, "api"), (11, "inner")]
     assert "used" in names_read("x.used()\n")
     assert "used" not in names_read("x.used = 1\n")
+
+
+def _slot_lists(tree):
+    """The ``__slots__ = (...)`` assignments under an ast node."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "__slots__"
+                    for target in node.targets)]
+
+
+def stored_attributes(source):
+    """(line, class, name) for each attribute a class stores on ``self``
+    or lists in its ``__slots__``, at the first line that names it."""
+    first = {}
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        found = [(node.lineno, node.attr) for node in ast.walk(cls)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Store)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "self"]
+        found += [(node.lineno, node.value)
+                  for slots in _slot_lists(cls)
+                  for node in ast.walk(slots.value)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)]
+        for line, name in found:
+            key = (cls.name, name)
+            first[key] = min(line, first.get(key, line))
+    return sorted((line, cls, name) for (cls, name), line in first.items())
+
+
+def attributes_read(source):
+    """Every name a module reads as an attribute or spells as a string.
+
+    getattr reads by string, so an identifier string counts, except the
+    strings of a ``__slots__`` list: they declare names, not read them.
+    """
+    tree = ast.parse(source)
+    declared = {id(node) for slots in _slot_lists(tree)
+                for node in ast.walk(slots.value)}
+    out = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and not isinstance(node.ctx, ast.Store)):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in declared):
+            out.add(node.value)
+    return out
+
+
+def test_no_unread_attributes():
+    """Each stored attribute has a reader.
+
+    Tests count as readers: only they read exception fields such as
+    ``DefinitionError.line``.  Like the dead-definition scan this matches
+    names only, so a read of the same name on any other object, in any
+    file, hides an unread attribute.
+    """
+    read = set().union(*(attributes_read(path.read_text())
+                         for path in READERS + SOURCES))
+    found = ["%s:%d: %s.%s" % (path.relative_to(ROOT), line, cls, name)
+             for path in sorted(LIBRARY.rglob("*.py"))
+             for line, cls, name in stored_attributes(path.read_text())
+             if name not in read]
+    assert found == []
+
+
+def test_unread_attribute_scan_sees_each_form():
+    source = ("class A:\n"
+              "    __slots__ = ('slot', 'spare')\n"
+              "    def __init__(self, seq):\n"
+              "        self.plain = 1\n"
+              "        self.pair, self.other = seq\n"
+              "        self.count += 1\n"
+              "        self.plain.strip()\n"
+              "        getattr(self, 'pair')\n"
+              "        other.slot = 2\n")
+    assert stored_attributes(source) == [
+        (2, "A", "slot"), (2, "A", "spare"), (4, "A", "plain"),
+        (5, "A", "other"), (5, "A", "pair"), (6, "A", "count")]
+    read = attributes_read(source)
+    # a store is no read, and neither is a slot's own declaration
+    assert read == {"strip", "plain", "pair"}

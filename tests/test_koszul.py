@@ -290,7 +290,7 @@ def test_polynomial_slices_acyclic():
     for n in range(1, 6):
         sl = koszul_K(ident, n)
         h = generalized_homology(sl, 1)
-        assert [h[(1, sl.positions[k].label)]
+        assert [h[(1, sl.positions[k].w_degree)]
                 for k in range(n + 1)] == [0] * (n + 1)
         assert slice_acyclic(sl)
 

@@ -27,14 +27,14 @@ def fixed_words(op):
 
 
 def test_zero_relations_give_identity():
-    op = reduction_operator(Subspace.zero(QQ, 4), 2)
+    op = reduction_operator(Subspace.zero(QQ, 4))
     assert operator_matrix(op) == DenseMatrix.identity(QQ, 4)
     assert op.leading_words == []
     assert fixed_words(op) == [0, 1, 2, 3]
 
 
 def test_full_relations_give_zero():
-    op = reduction_operator(Subspace.full(QQ, 4), 2)
+    op = reduction_operator(Subspace.full(QQ, 4))
     assert all(not c for row in operator_matrix(op).rows for c in row)
     assert op.leading_words == [0, 1, 2, 3]
 
@@ -42,7 +42,7 @@ def test_full_relations_give_zero():
 def test_commutator_rewrite():
     # words xx=0 xy=1 yx=2 yy=3; yx rewrites to xy, the rest are fixed
     R = Subspace.from_vectors(QQ, 4, [{1: -1, 2: 1}])
-    op = reduction_operator(R, 2)
+    op = reduction_operator(R)
     assert op.leading_words == [2]
     assert op.apply(unit(2)) == unit(1)
     for w in (0, 1, 3):
@@ -54,7 +54,7 @@ def test_operator_contract():
     for _ in range(25):
         amb = 2 ** 3
         R = random_subspace(QQ, amb, rng)
-        op = reduction_operator(R, 3)
+        op = reduction_operator(R)
         S = operator_matrix(op)
         # idempotent
         assert S.mul(S) == S
@@ -77,7 +77,7 @@ def test_rewrites_terminate_by_descent():
     # iterating S from any word reaches a fixed vector in one step (S^2 = S)
     rng = rng_from_seed(43)
     R = random_subspace(QQ, 8, rng, dim=3)
-    op = reduction_operator(R, 3)
+    op = reduction_operator(R)
     for a in range(8):
         once = op.apply(unit(a))
         assert op.apply(once) == once
@@ -87,13 +87,13 @@ def test_factorization_both_sides():
     rng = rng_from_seed(47)
     for _ in range(10):
         R = random_subspace(QQ, 4, rng)
-        op = reduction_operator(R, 2)
+        op = reduction_operator(R)
         for r in (1, 2):
             S = operator_matrix(op)
             ident = DenseMatrix.identity(QQ, 2 ** r)
-            right = reduction_operator(block_embed(R, 2, 0, r), 2 + r)
+            right = reduction_operator(block_embed(R, 2, 0, r))
             assert kron(S, ident) == operator_matrix(right)
-            left = reduction_operator(block_embed(R, 2, r, 0), 2 + r)
+            left = reduction_operator(block_embed(R, 2, r, 0))
             assert kron(ident, S) == operator_matrix(left)
 
 
@@ -105,7 +105,7 @@ LARGE = "generators x y\ndegree 10\nrelation %s - y.%s\n" % (
 
 def test_large_word_space():
     R = parse_definition(LARGE).to_algebra().relations
-    op = reduction_operator(R, 10)
+    op = reduction_operator(R)
     assert op.leading_words == [512]
     assert op.rewrites == {512: {0: QQ.one}}
     assert R.ambient_dim - len(op.leading_words) == 1023
@@ -173,7 +173,7 @@ def test_image_is_monomial():
     rng = rng_from_seed(53)
     for _ in range(10):
         R = random_subspace(QQ, 8, rng)
-        op = reduction_operator(R, 3)
+        op = reduction_operator(R)
         span = monomial_subspace(QQ, 2, 3,
                                  [index_word(w, 2, 3) for w in fixed_words(op)])
         # the column space of S
