@@ -8,26 +8,25 @@ leading word into strictly smaller ones.  S is idempotent, its kernel is
 exactly R, and tensoring with the identity reduces longer words.
 """
 
-from nkoszul import (QQ, Subspace, WordBasis, lemma3_check,
-                     monomial_rotation_closure, reduction_operator,
-                     symmetric_algebra)
+from nkoszul import (QQ, Subspace, lemma3_check, monomial_rotation_closure,
+                     reduction_operator, symmetric_algebra, word_index,
+                     word_speller)
 
 poly = symmetric_algebra(2, gen_names=["x", "y"])
-basis = WordBasis(2, 2)
 names = poly.gen_names
+spell = word_speller(names, 2)
 
 op = reduction_operator(poly.relations)
-print("leading words:", [basis.label(w, names) for w in op.leading_words])
+print("leading words:", [spell(w) for w in op.leading_words])
 # S fixes every word it does not rewrite; those words span Im(S)
 fixed = [w for w in range(poly.relations.ambient_dim) if w not in op.rewrites]
-print("fixed words  :", [basis.label(w, names) for w in fixed])
+print("fixed words  :", [spell(w) for w in fixed])
 print()
 
 # Rewriting y.x: the relation x.y - y.x sends it to x.y.  Vectors are
 # sparse dicts {word index: coefficient}.
-out = op.apply({basis.index((1, 0)): QQ.one})
-terms = ["%s %s" % (c, basis.label(w, names))
-         for w, c in sorted(out.items())]
+out = op.apply({word_index((1, 0), 2): QQ.one})
+terms = ["%s %s" % (c, spell(w)) for w, c in sorted(out.items())]
 print("S(y.x) =", " + ".join(terms))
 print()
 

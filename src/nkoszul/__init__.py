@@ -20,8 +20,8 @@ from .koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                      generalized_homology, koszul_K, koszul_L,
                      koszulity_check, lemma2_check, slice_acyclic,
                      tor_dims, tor_pure_degree, tor_purity, verdict_string)
-from .words import (WordBasis, annihilator, block_embed, index_word,
-                    interleaved_span, tensor_subspace, word_index)
+from .words import (annihilator, block_embed, index_word, interleaved_span,
+                    tensor_subspace, word_index, word_speller)
 from .definitions import (AlgebraDefinition, definition_from_algebra,
                           parse_definition, serialize_definition)
 from .reduction import (Lemma3Result, ReductionOperator, lemma3_check,

@@ -345,7 +345,8 @@ def _pair_names(a, b):
 
 def _check_product_args(a, b):
     if a.N != b.N:
-        raise DimensionMismatch("product factors must share the relation degree")
+        raise DimensionMismatch(
+            "product factors have relation degrees %d and %d" % (a.N, b.N))
     if a.field != b.field:
         raise DimensionMismatch("product factors must share the field")
 
@@ -413,16 +414,12 @@ def is_morphism(source, target, matrix):
 class Morphism:
     """A relation-preserving linear map between generator spaces.
 
-    ``matrix`` is a ``SparseMatrix`` whose column j is the image of
-    generator j; the constructor also takes it as a list of dense rows.
+    ``matrix``, a ``SparseMatrix``, has the image of generator j as column j.
     """
 
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source, target, matrix):
-        if isinstance(matrix, (list, tuple)):
-            matrix = SparseMatrix.from_rows(source.field, matrix,
-                                            ncols=source.dim_e)
         if not is_morphism(source, target, matrix):
             raise DimensionMismatch(
                 "map does not send relations into relations")

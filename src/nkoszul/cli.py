@@ -20,7 +20,7 @@ from .fields import field_name
 from .koszul import (ContractedComplex, generalized_homology, koszul_K,
                      koszul_L, koszulity_check, tor_purity, verdict_string)
 from .reduction import lemma3_check, reduction_operator
-from .words import WordBasis
+from .words import word_speller
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,12 +140,6 @@ def _run(args):
     _header(report, args, defns, args.files)
     cmdname = args.command
 
-    if cmdname in ("circ", "bullet"):
-        B = algebras[1]
-        if A.N != B.N:
-            raise DimensionMismatch(
-                "operands have degrees %d and %d" % (A.N, B.N))
-
     if cmdname == "hilbert":
         report.add("nmax", nmax)
         report.add("dims", hilbert_dims(A, nmax))
@@ -208,16 +202,13 @@ def _run(args):
                        [table[(i, t)] for t in range(nmax + 1)])
         report.add("pure", pure)
     elif cmdname == "lemma3":
-        if args.r < 1:
-            raise DimensionMismatch("--r must be at least 1")
         res = lemma3_check(A.relations, args.r, A.dim_e)
         report.add("r", args.r)
         report.add("equal", res.equal)
         report.add("conclusion", res.conclusion)
     elif cmdname == "reduce":
         op = reduction_operator(A.relations)
-        name = functools.partial(WordBasis(A.dim_e, A.N).label,
-                                 names=defns[0].generators)
+        name = word_speller(defns[0].generators, A.N)
         report.add("relations", A.relations.dim)
         report.add("leading_words", [name(w) for w in op.leading_words])
         report.add("image_dim",

@@ -12,7 +12,7 @@ fractions, terms are joined with ``+`` / ``-``::
 
 Relations are held as sparse rows {word index: scalar}, the format of
 ``Subspace.rows``, with words indexed as in ``words``; a word is spelled
-from its index (``WordBasis.label``) only when a definition is printed.
+from its index (``word_speller``) only when a definition is printed.
 Definitions compare structurally (field, generator count, degree and the
 span of the relations); generator names are presentation only.
 """
@@ -23,7 +23,7 @@ from .algebra import NHomogeneousAlgebra
 from .errors import DefinitionError
 from .fields import QQ, field_from_name, field_name
 from .linalg import Subspace
-from .words import WordBasis, word_index
+from .words import word_index, word_speller
 
 _TOKEN = re.compile(r"\S+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
@@ -197,14 +197,14 @@ def serialize_definition(definition):
     relation rows, so its text is canonical.
     """
     names = definition.generators
-    basis = WordBasis(len(names), definition.degree)
+    spell = word_speller(names, definition.degree)
     lines = ["field %s" % field_name(definition.field),
              "generators %s" % " ".join(names),
              "degree %d" % definition.degree]
     for row in definition.relations:
         parts = []
         for j, c in sorted(row.items()):
-            text = "%s*%s" % (c, basis.label(j, names))
+            text = "%s*%s" % (c, spell(j))
             if parts and text.startswith("-"):
                 parts.append("- " + text[1:])
             elif parts:

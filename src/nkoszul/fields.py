@@ -59,18 +59,23 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the primes up to 41 as witnesses is exact below psi_13
+# (Sorenson and Webster 2015); PrimeField refuses larger moduli
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
 def _is_prime(n):
-    # deterministic Miller-Rabin; the witness set is exact below 3.3e24
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -89,6 +94,9 @@ class PrimeField:
     kind = "prime"
 
     def __init__(self, p):
+        if p >= _PSI_13:
+            raise ValueError("modulus %r is not below %d, where primality "
+                             "is certified" % (p, _PSI_13))
         if not _is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
         self.p = p

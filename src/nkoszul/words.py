@@ -3,8 +3,11 @@
 A word of length n over an alphabet of size g is a tuple of letters in
 range(g); it indexes a basis vector of the n-th tensor power of a
 g-dimensional space via the base-g expansion (leftmost letter most
-significant), so lexicographic word order matches index order.
+significant), so lexicographic word order matches index order.  A word
+is spelled from its index, by ``word_speller``, only when it is printed.
 """
+
+import functools
 
 from .errors import DimensionMismatch
 from .linalg import Subspace, reversed_subspace
@@ -32,28 +35,28 @@ def index_word(idx, alphabet_size, length):
     return tuple(reversed(letters))
 
 
-class WordBasis:
-    """The basis of n-letter words over a fixed alphabet."""
+def word_speller(names, length):
+    """The function spelling a word index as its letters joined by ".".
 
-    __slots__ = ("alphabet_size", "length")
+    The empty word is "1".  A word is joined from two halves, of ceil(n/2)
+    and floor(n/2) letters, each spelled once per speller.
+    """
+    g, low = len(names), length // 2
+    size, base = g ** length, g ** low
 
-    def __init__(self, alphabet_size, length):
-        self.alphabet_size = alphabet_size
-        self.length = length
+    @functools.lru_cache(maxsize=None)
+    def half(idx, n):
+        return ".".join(names[letter] for letter in index_word(idx, g, n))
 
-    def index(self, word):
-        if len(word) != self.length:
-            raise DimensionMismatch("word length %d != %d" % (len(word), self.length))
-        return word_index(word, self.alphabet_size)
+    def spell(idx):
+        if not 0 <= idx < size:
+            raise DimensionMismatch("index %d out of range" % idx)
+        if not low:
+            return half(idx, length) if length else "1"
+        high, rest = divmod(idx, base)
+        return half(high, length - low) + "." + half(rest, low)
 
-    def word(self, idx):
-        return index_word(idx, self.alphabet_size, self.length)
-
-    def label(self, idx, names):
-        word = self.word(idx)
-        if not word:
-            return "1"
-        return ".".join(names[letter] for letter in word)
+    return spell
 
 
 def interleave_index(sep_index, n_blocks, dim_a, dim_b):

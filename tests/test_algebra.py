@@ -262,14 +262,15 @@ def test_morphism_rejects_bad_map():
     A = commutator_algebra()
     T = free_algebra(2, 2)
     with pytest.raises(DimensionMismatch):
-        Morphism(A, T, [[1, 0], [0, 1]])
+        Morphism(A, T, SparseMatrix.from_rows(QQ, [[1, 0], [0, 1]]))
 
 
 def test_morphism_tensor_power():
     # the relation transport, word by word, against the dense Kronecker
     # power of the map applied to the dense relation rows
     A = commutator_algebra()
-    f = Morphism(A, A, [[1, 1], [0, 1]])    # f(y) = x + y
+    # f(y) = x + y
+    f = Morphism(A, A, SparseMatrix.from_rows(QQ, [[1, 1], [0, 1]]))
     sq = kron_power(DenseMatrix.from_sparse(f.matrix), 2)
     assert sq.ncols == 4 and sq.nrows == 4
     # (x+y) (x) (x+y) has coefficient 1 at every word of {x,y}^2
@@ -313,7 +314,7 @@ def test_relations_image_lives_in_the_target_power():
     # x -> e0 + e2, y -> e1 + e2 sends xy - yx to a vector of E'^(x)2,
     # dim 3^2 = 9, word (i, j) at index 3i + j
     f = Morphism(commutator_algebra(), full_relations_algebra(3, 2),
-                 [[1, 0], [0, 1], [1, 1]])
+                 SparseMatrix.from_rows(QQ, [[1, 0], [0, 1], [1, 1]]))
     image = f.relations_image()
     assert image.ambient_dim == 9
     assert image == Subspace.from_vectors(

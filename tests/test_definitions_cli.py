@@ -116,6 +116,22 @@ def test_error_misplaced_signs():
         "generators x y\ndegree 2\nrelation 1*x.y -\n").message
 
 
+@pytest.mark.parametrize("text, line, col, message", [
+    (KXY.replace(" - 1*y.x", " 1*y.x"), 3, 16,
+     "missing '+' or '-' before '1*y.x'"),
+    ("field rational gf:7\n" + KXY, 1, 1, "expected one field name"),
+    ("generators\ndegree 2\n", 1, 1, "no generator names"),
+    ("generators x 2y\ndegree 2\n", 1, 14, "bad generator name '2y'"),
+    ("generators x y x\ndegree 2\n", 1, 16, "duplicate generator 'x'"),
+    ("generators x y\ndegree 2\nrelation\n", 3, 1, "empty relation"),
+    ("generators x y\ndegree 2\nrelations 1*x.x\n", 3, 1,
+     "unknown keyword 'relations'"),
+])
+def test_error_located(text, line, col, message):
+    e = err(text)
+    assert (e.line, e.col, e.message) == (line, col, message)
+
+
 def test_structural_equality_ignores_names():
     a = parse_definition("generators d\ndegree 2\nrelation 1*d.d\n")
     b = parse_definition("generators z\ndegree 2\nrelation 2*z.z\n")

@@ -1,10 +1,13 @@
 """Scalar arithmetic over the rationals and prime fields."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from nkoszul.fields import GF, QQ, PrimeField, field_from_name, field_name
+
+DEFINITIONS = Path(__file__).resolve().parent.parent / "demos" / "definitions"
 
 
 def test_rational_basics():
@@ -72,6 +75,33 @@ def test_field_names_round_trip():
         field_from_name("gf:12")
     with pytest.raises(ValueError):
         field_from_name("real")
+
+
+# psi_12 = 399165290221 * 798330580441 is the least strong pseudoprime to
+# every prime base up to 37; psi_13 is the least one up to 41
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_prime_moduli_are_certified():
+    with pytest.raises(ValueError, match="not prime"):
+        GF(PSI_12)
+    with pytest.raises(ValueError, match="not below %d" % PSI_13):
+        GF(PSI_13)
+    # p - 1 = 2^16: the witness loop squares before it finds p - 1
+    assert GF(65537).inv(3) * 3 % 65537 == 1
+    with pytest.raises(ValueError, match="bad prime field name"):
+        field_from_name("gf:x")
+
+
+def test_cli_refuses_a_pseudoprime_field(capsys):
+    from nkoszul import cli
+    path = DEFINITIONS / "cubic.alg"
+    assert cli.main(["hilbert", "--nmax", "4", "--field", "gf:%d" % PSI_12,
+                     str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_prime_fields_cache_and_compare():

@@ -14,8 +14,8 @@ from nkoszul.definitions import parse_definition
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
-                            KoszulElement, _BarBlock, _bar_matrix,
-                            _KoszulSlice, convolution_check,
+                            KoszulElement, NComplexSlice, _BarBlock,
+                            _bar_matrix, _KoszulSlice, convolution_check,
                             generalized_homology, koszul_K, koszul_L,
                             koszulity_check, kron_sum_apply, lemma2_check,
                             slice_acyclic, tor_dims, tor_pure_degree,
@@ -83,8 +83,8 @@ def _twisted_inputs():
     # an isomorphism with fractional entries: its integer twist has scale 12
     rows = [[Fraction(1, 2), Fraction(1, 3)],
             [Fraction(-2, 3), Fraction(3, 4)]]
-    h = Morphism(B, transported_algebra(B, SparseMatrix.from_rows(QQ, rows)),
-                 rows)
+    m = SparseMatrix.from_rows(QQ, rows)
+    h = Morphism(B, transported_algebra(B, m), m)
     assert koszul_K(h, 1).scale(0) == 12
     P = random_algebra(2, 3, rng, field=GF(32003), dim_r=3)
     fp = random_isomorphism(P, rng)
@@ -308,7 +308,8 @@ def test_lemma2_detects_non_isomorphism():
     # coefficient-identity map from the free algebra onto K[x,y]:
     # full rank but the relation image 0 is strictly inside span(xy - yx)
     free = free_algebra(2, 2)
-    f = Morphism(free, commutator_algebra(), [[1, 0], [0, 1]])
+    f = Morphism(free, commutator_algebra(),
+                 SparseMatrix.from_rows(QQ, [[1, 0], [0, 1]]))
     nm1, nn, iso = lemma2_check(f)
     assert not iso
     assert nm1 and not nn
@@ -440,6 +441,28 @@ DEFINITIONS = Path(__file__).resolve().parent.parent / "demos" / "definitions"
 def load_definition(name):
     path = DEFINITIONS / name
     return parse_definition(path.read_text(), source=name).to_algebra()
+
+
+def test_cli_exits_2_when_d_N_fails(monkeypatch, capsys):
+    # a differential with one entry off breaks d^N = 0; verify_dN must
+    # raise, and the CLI must report an internal bug with exit code 2
+    from nkoszul import cli
+    forward = NComplexSlice._forward
+
+    def broken(self, src, tgt):
+        (xs, ys, y_src, y_tgt), s = forward(self, src, tgt)
+        # a copy: the factors may be the algebra's own tables
+        first = list(xs[0])
+        first[0] = dict(first[0])
+        first[0][0] = first[0].get(0, 0) + 1
+        return ([first] + list(xs[1:]), ys, y_src, y_tgt), s
+
+    monkeypatch.setattr(NComplexSlice, "_forward", broken)
+    assert cli.main(["koszul-complex", str(DEFINITIONS / "poly2.alg")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal bug: d^N != 0 at slice n=2")
 
 
 def bar_elements(block):

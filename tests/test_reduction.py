@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
+import nkoszul.reduction
 from nkoszul.cli import main
 from nkoszul.definitions import parse_definition
-from nkoszul.errors import DimensionMismatch
+from nkoszul.errors import ContractViolation, DimensionMismatch
 from nkoszul.fields import QQ
 from nkoszul.linalg import Subspace
 from nkoszul.reduction import (lemma3_check, monomial_rotation_closure,
@@ -81,6 +82,26 @@ def test_rewrites_terminate_by_descent():
     for a in range(8):
         once = op.apply(unit(a))
         assert op.apply(once) == once
+
+
+# Reversed forms of R = span(x.y - y.x) in E^(x)2, coordinate j read as
+# 3 - j, that each break one check of reduction_operator: a rewrite that
+# climbs, a rewrite into another leading word, and a valid form of the
+# wrong space, span(y.y).
+BROKEN_REVERSED_FORMS = {
+    "does not descend": Subspace(QQ, 4, ({0: 1, 1: 1},), (1,)),
+    "not idempotent": Subspace(QQ, 4, ({0: 1, 1: 1}, {1: 1, 2: 1}), (0, 1)),
+    "kernel differs": Subspace(QQ, 4, ({0: 1},), (0,)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(BROKEN_REVERSED_FORMS))
+def test_operator_checks_raise_contract_violation(monkeypatch, message):
+    R = Subspace.from_vectors(QQ, 4, [{1: 1, 2: -1}])
+    monkeypatch.setattr(nkoszul.reduction, "reversed_subspace",
+                        lambda _: BROKEN_REVERSED_FORMS[message])
+    with pytest.raises(ContractViolation, match=message):
+        reduction_operator(R)
 
 
 def test_factorization_both_sides():

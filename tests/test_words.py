@@ -6,16 +6,15 @@ from hypothesis import event, example, given, settings, strategies as st
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.linalg import Subspace
-from nkoszul.words import (WordBasis, annihilator, block_embed, index_word,
+from nkoszul.words import (annihilator, block_embed, index_word,
                            interleave_index, interleaved_span,
-                           tensor_subspace, word_index)
+                           tensor_subspace, word_index, word_speller)
 from oracles import (dense_rows, reference_annihilator, shuffle_map,
                      sparse_rows)
 
 
 def test_word_index_is_lexicographic():
-    basis = WordBasis(2, 3)
-    words = [basis.word(i) for i in range(2 ** 3)]
+    words = [index_word(i, 2, 3) for i in range(2 ** 3)]
     assert words[0] == (0, 0, 0)
     assert words[-1] == (1, 1, 1)
     assert words == sorted(words)
@@ -37,9 +36,23 @@ def test_word_index_validates_letters():
 
 
 def test_label():
-    basis = WordBasis(2, 2)
-    assert basis.label(1, ["x", "y"]) == "x.y"
-    assert WordBasis(2, 0).label(0, ["x", "y"]) == "1"
+    assert word_speller(["x", "y"], 2)(1) == "x.y"
+    assert word_speller(["x", "y"], 0)(0) == "1"
+
+
+@pytest.mark.parametrize("g, n", [(2, 23), (3, 8), (40, 3), (1, 5), (2, 0),
+                                  (2, 1)])
+def test_word_speller_matches_letter_by_letter_spelling(g, n):
+    # the speller joins two memoized halves; the reference spells each
+    # letter of the word on its own
+    names = ["g%d" % i for i in range(g)]
+    spell = word_speller(names, n)
+    size = g ** n
+    for idx in (0, size // 2, size - 1):
+        letters = [names[a] for a in index_word(idx, g, n)]
+        assert spell(idx) == (".".join(letters) if letters else "1")
+    with pytest.raises(DimensionMismatch):
+        spell(size)
 
 
 def test_interleave_index_frozen():
