@@ -8,10 +8,10 @@ N = 2 these are ordinary chain complexes; for larger N the homology
 comes in N-1 flavours, one for each power p of the differential.
 """
 
-from nkoszul import (KoszulElement, Morphism, generalized_homology, koszul_K,
-                     koszul_L, lemma2_check, rng_from_seed, random_algebra,
-                     random_isomorphism, random_rank_deficient_morphism,
-                     symmetric_algebra)
+from nkoszul import (ConvolutionContext, GradedMap, Morphism,
+                     generalized_homology, koszul_K, koszul_L, lemma2_check,
+                     rng_from_seed, random_algebra, random_isomorphism,
+                     random_rank_deficient_morphism, symmetric_algebra)
 
 poly = symmetric_algebra(2, gen_names=["x", "y"])
 ident = Morphism.identity(poly)
@@ -44,9 +44,13 @@ print("singular map    :", lemma2_check(sing))
 print()
 
 # Behind d^N = 0 is the degree-1 element xi_f of B^! o C that a morphism
-# f: B -> C defines: its N-th power vanishes, for every f.
+# f: B -> C defines: its N-th power in the convolution algebra vanishes,
+# for every f.
 for f in (iso, sing):
-    if not KoszulElement(f).power_is_zero():
+    xi = GradedMap.from_morphism(f)
+    ctx = ConvolutionContext(f.source, f.target)
+    N = f.source.N
+    if not ctx.convolution_power(xi, N, N).is_zero():
         raise SystemExit("xi_f^N is not zero")
 
 # L(f) organizes the same data into chains of constant degree shift.

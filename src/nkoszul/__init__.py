@@ -15,7 +15,7 @@ from .fields import GF, QQ, PrimeField, RationalField, field_from_name
 from .linalg import Subspace, rank, rref
 from .sparsela import SparseMatrix
 from .koszul import (ContractedComplex, ConvolutionContext, GradedMap,
-                     KoszulElement, KoszulVerdict,
+                     KoszulVerdict,
                      LComplexSlice, NComplexSlice, convolution_check,
                      generalized_homology, koszul_K, koszul_L,
                      koszulity_check, lemma2_check, slice_acyclic,

@@ -403,7 +403,8 @@ def _transported_relations(algebra, matrix):
 
 def is_morphism(source, target, matrix):
     """Does the linear map E -> E' send R into R'?"""
-    if source.N != target.N or source.field != target.field:
+    if (source.N != target.N or source.field != target.field
+            or matrix.field != source.field):
         return False
     if matrix.ncols != source.dim_e or matrix.nrows != target.dim_e:
         return False

@@ -107,10 +107,7 @@ class _Report:
         return "\n".join(lines) + "\n"
 
     def json(self):
-        out = {}
-        for key, value in self.items:
-            out[key] = list(value) if isinstance(value, tuple) else value
-        return json.dumps(out, sort_keys=True) + "\n"
+        return json.dumps(dict(self.items), sort_keys=True) + "\n"
 
 
 def _header(report, args, defns, paths):

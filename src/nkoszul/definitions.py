@@ -1,7 +1,8 @@
 """Plain-text algebra definition files.
 
 Line-oriented format with keywords ``field``, ``generators``, ``degree``
-and ``relation``; ``#`` starts a comment.  Words are dot-separated
+and ``relation``; ``#`` starts a comment.  The first three head the file
+at most once each; ``relation`` lines repeat.  Words are dot-separated
 generator names (``x.y.x``), coefficients are integers or ``a/b``
 fractions, terms are joined with ``+`` / ``-``::
 
@@ -142,6 +143,7 @@ def parse_definition(text, source=None, field_override=None):
     names = None
     degree = None
     pending = []  # relation token lists, validated once names/degree known
+    headers = set()  # field/generators/degree: at most one line each
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line)]
@@ -149,6 +151,10 @@ def parse_definition(text, source=None, field_override=None):
             continue
         col0, keyword = tokens[0]
         rest = tokens[1:]
+        if keyword in headers:
+            _fail("repeated %r line" % keyword, lineno, col0, source)
+        if keyword in ("field", "generators", "degree"):
+            headers.add(keyword)
         if keyword == "field":
             if len(rest) != 1:
                 _fail("expected one field name", lineno, col0, source)

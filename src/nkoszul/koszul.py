@@ -95,17 +95,16 @@ class _KoszulSlice:
 
     def __init__(self, morphism):
         self.morphism = morphism
-        self.source = morphism.source
+        source = morphism.source
         self.target = morphism.target
-        self.field = self.source.field
-        self.N = self.source.N
-        self.bang = self.source.dual()
+        self.field = source.field
+        self.N = source.N
+        self.bang = source.dual()
         self._p = modulus(self.field)
-        self._identity = (self.source is self.target
+        self._identity = (source is self.target
                           and morphism.matrix == SparseMatrix.identity(
-                              self.field, self.source.dim_e))
+                              self.field, source.dim_e))
         self._ops = {}
-        self._mats = {}
         self._ranks = {}
 
     def position_dim(self, k):
@@ -187,21 +186,16 @@ class _KoszulSlice:
         return kron_sum_apply(self._p, *op[0], vec)
 
     def differential(self, k):
-        """The exact map at position k as a sparse matrix (cached)."""
-        mat = self._mats.get(k)
-        if mat is None:
-            src_dim = self.position_dim(k)
-            cols = [self.apply_differential(k, {j: 1})
-                    for j in range(src_dim)]
-            field = self.field
-            if field.kind == "rational":
-                s, ratio = self.scale(k), field.ratio
-                cols = [{i: ratio(v, s) for i, v in col.items()}
-                        for col in cols]
-            mat = SparseMatrix(field, self.position_dim(k + 1), src_dim,
-                               cols)
-            self._mats[k] = mat
-        return mat
+        """The exact map at position k as a sparse matrix."""
+        src_dim = self.position_dim(k)
+        cols = [self.apply_differential(k, {j: 1})
+                for j in range(src_dim)]
+        field = self.field
+        if field.kind == "rational":
+            s, ratio = self.scale(k), field.ratio
+            cols = [{i: ratio(v, s) for i, v in col.items()}
+                    for col in cols]
+        return SparseMatrix(field, self.position_dim(k + 1), src_dim, cols)
 
     def rank_power(self, k, e):
         """Rank of d^e out of position k (zero once the window leaves the slice)."""
@@ -689,26 +683,6 @@ def tor_purity(algebra, i_max, n_max):
 # -- convolution of graded maps and the operators d_alpha -----------------
 
 
-class KoszulElement:
-    """xi_f: the degree-1 element of B^! o C attached to a morphism f.
-
-    Degree by degree (B^! o C)_m = B^!_m (x) C_m = Hom(W_m, C_m) with
-    W_m = (B^!_m)*, and the product of B^! o C is the convolution product
-    of ``ConvolutionContext``.  So xi_f is the graded map with the matrix
-    of f in degree 1, and its powers are convolution powers.
-    """
-
-    def __init__(self, morphism):
-        self.morphism = morphism
-        self.element = GradedMap.from_morphism(morphism)
-
-    def power_is_zero(self):
-        """(xi_f)^N = 0 in the product algebra."""
-        f, N = self.morphism, self.morphism.source.N
-        ctx = ConvolutionContext(f.source, f.target)
-        return ctx.convolution_power(self.element, N, N).is_zero()
-
-
 class GradedMap:
     """A degree-0 map (B^!)* -> C, held as sparse columns per degree.
 
@@ -723,14 +697,12 @@ class GradedMap:
     def component(self, m):
         return self.components.get(m)
 
-    def degrees(self):
-        return sorted(self.components)
-
     def is_zero(self):
         return not self.components
 
     @classmethod
     def from_morphism(cls, morphism):
+        """xi_f, the degree-1 element of B^! o C: f's matrix in degree 1."""
         return cls({1: morphism.matrix.cols})
 
 
@@ -818,7 +790,7 @@ class ConvolutionContext:
             cs = self.target.dim(t - m)
             if wm == 0 or cs == 0:
                 continue
-            for k in alpha.degrees():
+            for k in sorted(alpha.components):
                 mk = m - k
                 if mk < 0:
                     continue
@@ -853,11 +825,11 @@ def convolution_check(morphism, m_max, samples=20, seed=0):
     d_{alpha*beta} for random graded maps.
     """
     import random
-    xi = KoszulElement(morphism)
-    if not xi.power_is_zero():
-        return False
     ctx = ConvolutionContext(morphism.source, morphism.target)
-    alpha = xi.element
+    alpha = GradedMap.from_morphism(morphism)
+    N = morphism.source.N
+    if not ctx.convolution_power(alpha, N, N).is_zero():
+        return False
     for t in range(m_max + 1):
         dmat = ctx.d_alpha_matrix(alpha, t)
         if dmat != _k_differential_total(morphism, t):

@@ -217,28 +217,12 @@ class Eliminator:
         self._clear = (int_eliminate if self._integer_rows
                        else gf_eliminator(field.p))
 
-    def reduce(self, row):
-        """Eliminate all known pivots from row (row is consumed).
+    def add(self, row):
+        """Reduce and store row; returns its pivot column or None.
 
-        The row is given in the stored form: scalars in [1, p) over
+        The row is first put in the stored form: scalars in [1, p) over
         GF(p), a primitive integer row over QQ.
         """
-        pivot_rows = self.pivot_rows
-        heap = [j for j in row if j in pivot_rows]
-        if not heap:
-            return row
-        heapify(heap)
-        clear = self._clear
-        while heap:
-            j = heappop(heap)
-            if j in row:
-                clear(row, j, pivot_rows[j], pivot_rows, heap)
-        if self._integer_rows:
-            remove_content(row)
-        return row
-
-    def add(self, row):
-        """Reduce and store row; returns its pivot column or None."""
         if self._finalized:
             raise ContractViolation("eliminator already finalized")
         integer = self._integer_rows
@@ -247,7 +231,17 @@ class Eliminator:
         else:
             p = self.field.p
             row = {j: r for j, v in row.items() if (r := v % p)}
-        row = self.reduce(row)
+        pivot_rows = self.pivot_rows
+        heap = [j for j in row if j in pivot_rows]
+        if heap:
+            heapify(heap)
+            clear = self._clear
+            while heap:
+                j = heappop(heap)
+                if j in row:
+                    clear(row, j, pivot_rows[j], pivot_rows, heap)
+            if integer:
+                remove_content(row)
         if not row:
             return None
         piv = min(row)
@@ -255,7 +249,7 @@ class Eliminator:
             inv = pow(row[piv], -1, p)
             for j in row:
                 row[j] = row[j] * inv % p
-        self.pivot_rows[piv] = row
+        pivot_rows[piv] = row
         return piv
 
     @property

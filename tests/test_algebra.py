@@ -261,8 +261,30 @@ def test_identity_is_a_morphism():
 def test_morphism_rejects_bad_map():
     A = commutator_algebra()
     T = free_algebra(2, 2)
-    with pytest.raises(DimensionMismatch):
-        Morphism(A, T, SparseMatrix.from_rows(QQ, [[1, 0], [0, 1]]))
+    bad = [
+        (A, T, SparseMatrix.from_rows(QQ, [[1, 0], [0, 1]])),  # R not into 0
+        (A, A, SparseMatrix.identity(GF(7), 2)),   # GF(7) map of QQ algebras
+        (A, free_algebra(2, 3), SparseMatrix.identity(QQ, 2)),  # N differs
+        (A, A, SparseMatrix.identity(QQ, 3)),      # wrong shape
+    ]
+    for source, target, matrix in bad:
+        assert not is_morphism(source, target, matrix)
+        with pytest.raises(DimensionMismatch):
+            Morphism(source, target, matrix)
+
+
+@pytest.mark.parametrize("dim_e, degree, ambient, names, message", [
+    (2, 1, 2, None, "relation degree must be at least 2"),
+    (-1, 2, 1, None, "negative generator count"),
+    (2, 2, 8, None, "relations live in dimension 8, expected 4"),
+    (2, 2, 4, ("x",), "need 2 generator names"),
+])
+def test_algebra_rejects_bad_presentation(dim_e, degree, ambient, names,
+                                          message):
+    relations = Subspace.from_vectors(QQ, ambient, [])
+    with pytest.raises(DimensionMismatch) as exc:
+        NHomogeneousAlgebra(dim_e, degree, relations, gen_names=names)
+    assert str(exc.value) == message
 
 
 def test_morphism_tensor_power():

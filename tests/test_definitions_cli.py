@@ -126,6 +126,11 @@ def test_error_misplaced_signs():
     ("generators x y\ndegree 2\nrelation\n", 3, 1, "empty relation"),
     ("generators x y\ndegree 2\nrelations 1*x.x\n", 3, 1,
      "unknown keyword 'relations'"),
+    ("generators x y\ngenerators a b c\ndegree 2\n", 2, 1,
+     "repeated 'generators' line"),
+    ("generators x y\ndegree 2\ndegree 3\n", 3, 1,
+     "repeated 'degree' line"),
+    ("field rational\nfield gf:7\n" + KXY, 2, 1, "repeated 'field' line"),
 ])
 def test_error_located(text, line, col, message):
     e = err(text)
@@ -391,6 +396,28 @@ def test_cli_main_repeated_in_one_process(defs, capsys):
         fresh = run_cli(args, [path])
         assert fresh.returncode == 0
         assert fresh.stdout == out
+
+
+def test_cli_bullet_rejects_mixed_fields(defs, tmp_path, capsys):
+    from nkoszul import cli
+    gf7 = tmp_path / "kxy7.alg"
+    gf7.write_text("field gf:7\n" + KXY)
+    assert cli.main(["bullet", str(defs["kxy"]), str(gf7)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: product factors must share the field\n"
+
+
+def test_cli_circ_renames_colliding_pair_names(tmp_path, capsys):
+    # x_y paired with z and x paired with y_z both spell x_y_z
+    from nkoszul import cli
+    left, right = tmp_path / "left.alg", tmp_path / "right.alg"
+    left.write_text("generators x_y x\ndegree 2\nrelation x_y.x - x.x_y\n")
+    right.write_text("generators z y_z\ndegree 2\nrelation z.y_z - y_z.z\n")
+    assert cli.main(["circ", str(left), str(right)]) == 0
+    out = capsys.readouterr().out
+    assert "  generators e0 e1 e2 e3" in out.splitlines()
+    assert out.count("  relation ") == 7
 
 
 def test_cli_timing_appends_only_timing_ms(defs, capsys):

@@ -1,5 +1,6 @@
 """Every demo script, and the README's library example, runs cleanly
-from the repository root."""
+from the repository root; each demo prints exactly the text pinned in
+tests/demo_outputs/<demo>.txt."""
 
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+OUTPUTS = Path(__file__).resolve().parent / "demo_outputs"
 
 
 def run_python(args):
@@ -25,7 +27,7 @@ def test_demo_runs_cleanly(demo):
     res = run_python([str(demo.relative_to(ROOT))])
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
-    assert res.stdout
+    assert res.stdout == (OUTPUTS / (demo.stem + ".txt")).read_text()
 
 
 def test_readme_library_snippet_runs():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import nkoszul.koszul as koszul_module
 from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, circ,
                              free_algebra, full_relations_algebra,
                              symmetric_algebra)
@@ -14,8 +15,8 @@ from nkoszul.definitions import parse_definition
 from nkoszul.errors import DimensionMismatch
 from nkoszul.fields import GF, QQ
 from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
-                            KoszulElement, NComplexSlice, _BarBlock,
-                            _bar_matrix, _KoszulSlice, convolution_check,
+                            NComplexSlice, _BarBlock, _bar_matrix,
+                            _KoszulSlice, convolution_check,
                             generalized_homology, koszul_K, koszul_L,
                             koszulity_check, kron_sum_apply, lemma2_check,
                             slice_acyclic, tor_dims, tor_pure_degree,
@@ -272,6 +273,11 @@ def test_degree_zero_slice_has_unit_homology():
         for p in range(1, A.N):
             h = generalized_homology(sl, p)
             assert h[(p, 0)] == 1
+
+
+def test_koszul_K_rejects_negative_degree():
+    with pytest.raises(DimensionMismatch, match="negative total degree"):
+        koszul_K(Morphism.identity(commutator_algebra()), -1)
 
 
 def test_generalized_homology_validates_p():
@@ -704,8 +710,9 @@ def test_koszul_element_is_nilpotent():
     for g, N in ((2, 2), (2, 3)):
         A = random_algebra(g, N, rng)
         f = random_isomorphism(A, rng)
-        xi = KoszulElement(f)
-        assert xi.power_is_zero()
+        ctx = ConvolutionContext(f.source, f.target)
+        xi = GradedMap.from_morphism(f)
+        assert ctx.convolution_power(xi, N, N).is_zero()
 
 
 def circ_powers_nonzero(f):
@@ -736,12 +743,12 @@ def test_koszul_element_powers_match_circ_route(field):
         for make in (random_isomorphism, random_rank_deficient_morphism,
                      random_full_rank_non_isomorphism):
             f = make(A, rng)
-            xi = KoszulElement(f)
+            xi = GradedMap.from_morphism(f)
             ctx = ConvolutionContext(f.source, f.target)
-            conv = [not ctx.convolution_power(xi.element, k, k).is_zero()
+            conv = [not ctx.convolution_power(xi, k, k).is_zero()
                     for k in range(1, N + 1)]
             assert conv == circ_powers_nonzero(f)
-            assert xi.power_is_zero()
+            assert not conv[-1]
             below_n = below_n or any(conv[1:-1])
     # some xi_f^k with 2 <= k < N is nonzero, so the agreement says more
     # than "both are zero"
@@ -757,6 +764,41 @@ def test_convolution_coherence():
     assert convolution_check(f, 5, samples=5, seed=4)
     h = _twisted_inputs()[-1]      # fractional entries: twisted scale 12
     assert convolution_check(h, 4, samples=3, seed=5)
+
+
+def _power_returns_input(monkeypatch):
+    monkeypatch.setattr(ConvolutionContext, "convolution_power",
+                        lambda self, alpha, e, m_max: alpha)
+
+
+def _k_differential_emptied(monkeypatch):
+    full = koszul_module._k_differential_total
+
+    def emptied(morphism, t):
+        mat = full(morphism, t)
+        return SparseMatrix(mat.field, mat.nrows, mat.ncols,
+                            [{} for _ in mat.cols])
+    monkeypatch.setattr(koszul_module, "_k_differential_total", emptied)
+
+
+def _convolve_swapped(monkeypatch):
+    convolve = ConvolutionContext.convolve
+    monkeypatch.setattr(ConvolutionContext, "convolve",
+                        lambda self, a, b, m_max: convolve(self, b, a, m_max))
+
+
+@pytest.mark.parametrize("breakage, holds", [
+    (None, True),
+    (_power_returns_input, False),       # (a) xi_f^N = 0
+    (_k_differential_emptied, False),    # (b) d_xi is the K(f) differential
+    (_convolve_swapped, False),          # (c) d_alpha o d_beta = d_{alpha*beta}
+], ids=["intact", "power", "differential", "convolve"])
+def test_convolution_check_fails_on_a_broken_part(monkeypatch, breakage,
+                                                   holds):
+    if breakage is not None:
+        breakage(monkeypatch)
+    f = Morphism.identity(commutator_algebra())
+    assert convolution_check(f, 4) is holds
 
 
 def test_convolution_composition_order():

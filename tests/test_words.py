@@ -96,6 +96,13 @@ def test_tensor_subspace_dims():
     assert W.contains_vector({0: 1, 3: 1})
 
 
+def test_tensor_subspace_rejects_field_mismatch():
+    U = Subspace.from_vectors(QQ, 2, [{0: 1}])
+    V = Subspace.from_vectors(GF(7), 2, [{0: 1}])
+    with pytest.raises(DimensionMismatch, match="field mismatch"):
+        tensor_subspace(U, V)
+
+
 def test_block_embed_matches_intersection_oracle():
     # E (x) R inside E^(x)3 for R = span(xy - yx)
     R = Subspace.from_vectors(QQ, 4, [{1: 1, 2: -1}])
