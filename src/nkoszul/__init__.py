@@ -6,12 +6,12 @@ homology, contracted complexes and Koszulity verdicts, Tor via the
 normalized bar complex, and reduction operators on relation subspaces.
 """
 
-from .algebra import (Morphism, NHomogeneousAlgebra, bullet, circ, dual,
+from .algebra import (Morphism, NHomogeneousAlgebra, bullet, circ,
                       end_algebra, free_algebra, full_relations_algebra,
-                      hilbert_dims, hom_algebra, is_morphism, prop1_check,
+                      hom_algebra, is_morphism, prop1_check,
                       symmetric_algebra, veronese_dims)
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
-from .fields import GF, QQ, PrimeField, RationalField, field_from_name
+from .fields import QQ, PrimeField, RationalField, field_from_name
 from .linalg import Subspace, rank, rref
 from .sparsela import SparseMatrix
 from .koszul import (ContractedComplex, ConvolutionContext, GradedMap,

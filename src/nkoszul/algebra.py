@@ -43,7 +43,7 @@ from .fields import QQ
 from .linalg import Subspace, rank
 from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
                        over_common_denominator, primitive_row, settled)
-from .words import (annihilator, index_word, interleaved_span,
+from .words import (annihilator, block_embed, index_word, interleaved_span,
                     tensor_subspace)
 
 class GradedComponent:
@@ -95,7 +95,8 @@ class NHomogeneousAlgebra:
         self.dim_e = dim_e
         self.N = degree
         self.relations = relations
-        self.gen_names = tuple(gen_names) if gen_names else _default_names(dim_e)
+        self.gen_names = (_default_names(dim_e) if gen_names is None
+                          else tuple(gen_names))
         if len(self.gen_names) != dim_e:
             raise DimensionMismatch("need %d generator names" % dim_e)
         unit = GradedComponent((0,), None)
@@ -322,17 +323,9 @@ class NHomogeneousAlgebra:
         return self._dual
 
 
-def hilbert_dims(algebra, n_max):
-    return algebra.hilbert_dims(n_max)
-
-
 def veronese_dims(algebra, d, j_max):
     """Dimensions of the degree-(d*j) components, j = 0..j_max."""
     return [algebra.dim(d * j) for j in range(j_max + 1)]
-
-
-def dual(algebra):
-    return algebra.dual()
 
 
 def _pair_names(a, b):
@@ -356,8 +349,8 @@ def circ(a, b):
     _check_product_args(a, b)
     field, N = a.field, a.N
     ga, gb = a.dim_e, b.dim_e
-    ra = tensor_subspace(a.relations, Subspace.full(field, gb ** N))
-    rb = tensor_subspace(Subspace.full(field, ga ** N), b.relations)
+    ra = block_embed(a.relations, gb, 0, N)
+    rb = block_embed(b.relations, ga, N, 0)
     rel = interleaved_span(field, ra.rows + rb.rows, N, ga, gb)
     return NHomogeneousAlgebra(ga * gb, N, rel, gen_names=_pair_names(a, b))
 
@@ -452,12 +445,12 @@ class Morphism:
 
 
 def end_algebra(a):
-    """bullet(dual(A), A): the internal endomorphism algebra."""
+    """bullet(A.dual(), A): the internal endomorphism algebra."""
     return bullet(a.dual(), a)
 
 
 def hom_algebra(a, b):
-    """bullet(dual(A), B): the internal hom algebra."""
+    """bullet(A.dual(), B): the internal hom algebra."""
     return bullet(a.dual(), b)
 
 

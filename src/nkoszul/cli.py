@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from .algebra import Morphism, circ, bullet, hilbert_dims
+from .algebra import Morphism, circ, bullet
 from .definitions import (definition_from_algebra, parse_definition,
                           serialize_definition)
 from .errors import ContractViolation, DefinitionError, DimensionMismatch
@@ -139,7 +139,7 @@ def _run(args):
 
     if cmdname == "hilbert":
         report.add("nmax", nmax)
-        report.add("dims", hilbert_dims(A, nmax))
+        report.add("dims", A.hilbert_dims(nmax))
     elif cmdname == "dual":
         out = definition_from_algebra(A.dual())
         report.add("dual", serialize_definition(out))
@@ -150,21 +150,18 @@ def _run(args):
         report.add("product", serialize_definition(out))
     elif cmdname == "koszul-complex":
         ident = Morphism.identity(A)
+        report.add("family", args.family)
+        report.add("nmax", nmax)
         if args.family == "K":
-            report.add("family", "K")
-            report.add("nmax", nmax)
-            for n in range(nmax + 1):
-                sl = koszul_K(ident, n)
-                sl.verify_dN()
-                report.add("slice n=%d" % n,
-                           [sl.position_dim(k) for k in range(n + 1)])
+            # a generator: the K slices are built one at a time
+            slices = (("slice n=%d" % n, koszul_K(ident, n))
+                      for n in range(nmax + 1))
         else:
-            report.add("family", "L")
-            report.add("nmax", nmax)
-            for sl in koszul_L(ident, nmax):
-                sl.verify_dN()
-                report.add("chain delta=%d" % sl.delta,
-                           [p.dim for p in sl.positions])
+            slices = (("chain delta=%d" % sl.delta, sl)
+                      for sl in koszul_L(ident, nmax))
+        for label, sl in slices:
+            sl.verify_dN()
+            report.add(label, [p.dim for p in sl.positions])
     elif cmdname == "homology":
         ps = [args.p] if args.p is not None else list(range(1, A.N))
         ident = Morphism.identity(A)

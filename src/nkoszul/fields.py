@@ -1,9 +1,13 @@
 """Exact scalar arithmetic: the rationals and prime fields GF(p).
 
-Field objects bundle the scalar operations used by the linear algebra
-layers.  Scalars themselves are plain Python objects (fractions.Fraction
-for the rationals, ints in [0, p) for GF(p)), so sparse containers stay
-lightweight.
+Scalars are plain Python objects (fractions.Fraction for the rationals,
+ints in [0, p) for GF(p)), so sparse containers stay lightweight.  The
+elimination kernel and the sparse sums of ``sparsela`` work on plain
+integers and ``modulus(field)``.  Field objects are read for the rest:
+which kernel to run (``kind``, ``p``), input scalars (``coerce``), the
+few scalar steps that build rows outside the kernel (``zero``, ``one``,
+``neg``, ``add``, ``mul``), integer rows turned back into field scalars
+(``ratio``), and whether two objects share a field (equality).
 """
 
 from fractions import Fraction
@@ -141,10 +145,6 @@ class PrimeField:
 
 
 QQ = RationalField()
-
-
-def GF(p):
-    return PrimeField(p)
 
 
 def field_from_name(name):

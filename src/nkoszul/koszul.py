@@ -39,6 +39,7 @@ every other rank, for L and for K(f) with f not the identity.
 """
 
 from collections import namedtuple
+from itertools import combinations
 
 from .algebra import Morphism
 from .errors import ContractViolation, DimensionMismatch
@@ -270,6 +271,8 @@ class NComplexSlice(_KoszulSlice):
     verify_dN = _KoszulSlice.verify_dN
 
     def __init__(self, morphism, n):
+        if n < 0:
+            raise DimensionMismatch("negative total degree")
         super().__init__(morphism)
         self.n = n
         self.positions = []
@@ -331,8 +334,6 @@ class NComplexSlice(_KoszulSlice):
 
 
 def koszul_K(morphism, n):
-    if n < 0:
-        raise DimensionMismatch("negative total degree")
     return NComplexSlice(morphism, n)
 
 
@@ -513,18 +514,14 @@ def verdict_string(verdict):
 
 
 def _compositions(total, parts):
-    """All ways to write total as an ordered sum of `parts` integers >= 1."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All ways to write total as an ordered sum of `parts` integers >= 1.
+
+    Ascending, as the gaps between parts - 1 ascending cut points.
+    """
+    if parts == 0 or total == 0:
+        return [()] if parts == total else []
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+            for cuts in combinations(range(1, total), parts - 1)]
 
 
 class _BarBlock:

@@ -42,9 +42,9 @@ def random_algebra(dim_e, degree, rng, field=QQ, dim_r=None, span=4):
     return NHomogeneousAlgebra(dim_e, degree, relations)
 
 
-def random_invertible_matrix(field, size, rng, span=3):
+def random_invertible_matrix(field, size, rng):
     while True:
-        rows = [[rng.randint(-span, span) for _ in range(size)]
+        rows = [[rng.randint(-3, 3) for _ in range(size)]
                 for _ in range(size)]
         mat = SparseMatrix.from_rows(field, rows)
         if rank(mat) == size:
@@ -57,24 +57,24 @@ def transported_algebra(algebra, matrix):
                                _transported_relations(algebra, matrix))
 
 
-def random_isomorphism(algebra, rng, span=3):
+def random_isomorphism(algebra, rng):
     """An isomorphism from the given algebra onto a transported copy."""
-    mat = random_invertible_matrix(algebra.field, algebra.dim_e, rng, span)
+    mat = random_invertible_matrix(algebra.field, algebra.dim_e, rng)
     return Morphism(algebra, transported_algebra(algebra, mat), mat)
 
 
-def random_rank_deficient_morphism(algebra, rng, span=3):
+def random_rank_deficient_morphism(algebra, rng):
     """A singular map onto the algebra presented by the image relations."""
     g = algebra.dim_e
     while True:
-        rows = [[rng.randint(-span, span) for _ in range(g)] for _ in range(g)]
+        rows = [[rng.randint(-3, 3) for _ in range(g)] for _ in range(g)]
         sq = SparseMatrix.from_rows(algebra.field, rows)
         if rank(sq) < g:
             break
     return Morphism(algebra, transported_algebra(algebra, sq), sq)
 
 
-def random_full_rank_non_isomorphism(algebra, rng, span=3):
+def random_full_rank_non_isomorphism(algebra, rng):
     """Invertible on generators, but relations land strictly inside target's.
 
     The target is the transported algebra with extra relations adjoined,
@@ -84,11 +84,11 @@ def random_full_rank_non_isomorphism(algebra, rng, span=3):
     amb = algebra.relations.ambient_dim
     if algebra.relations.dim >= amb:
         return None
-    mat = random_invertible_matrix(algebra.field, algebra.dim_e, rng, span)
+    mat = random_invertible_matrix(algebra.field, algebra.dim_e, rng)
     transported = _transported_relations(algebra, mat)
     # adjoin one random vector outside the transported relations
     while True:
-        extra = {j: rng.randint(-span, span) for j in range(amb)}
+        extra = {j: rng.randint(-3, 3) for j in range(amb)}
         if not transported.contains_vector(extra):
             break
     bigger = Subspace.from_vectors(algebra.field, amb,

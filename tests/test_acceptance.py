@@ -9,11 +9,11 @@ import subprocess
 import sys
 from itertools import combinations
 
-from nkoszul.algebra import (Morphism, bullet, circ, dual, free_algebra,
+from nkoszul.algebra import (Morphism, bullet, circ, free_algebra,
                              full_relations_algebra, prop1_check,
                              symmetric_algebra)
 from nkoszul.errors import ContractViolation
-from nkoszul.fields import GF, QQ
+from nkoszul.fields import PrimeField, QQ
 from nkoszul.koszul import (ContractedComplex, convolution_check,
                             generalized_homology, koszul_K, koszul_L,
                             koszulity_check, lemma2_check, slice_acyclic,
@@ -35,7 +35,7 @@ def _verdict(number, ok):
 
 def _field_for(dim_e, degree):
     # mid-size rational draws grow 100-digit entries; see sampling docs
-    return QQ if dim_e ** degree <= 9 else GF(32003)
+    return QQ if dim_e ** degree <= 9 else PrimeField(32003)
 
 
 # -- 1: d^N = 0 on every materialized slice -------------------------------
@@ -243,9 +243,9 @@ def test_duality_identities_and_product_dimensions():
         N = rng.randint(2, 3)
         A = random_algebra(rng.randint(1, 2), N, rng)
         B = random_algebra(rng.randint(1, 2), N, rng)
-        if dual(dual(A)) != A or dual(dual(B)) != B:
+        if A.dual().dual() != A or B.dual().dual() != B:
             ok = False
-        if dual(circ(A, B)) != bullet(dual(A), dual(B)):
+        if circ(A, B).dual() != bullet(A.dual(), B.dual()):
             ok = False
         if not prop1_check(A, B, N + 2):
             ok = False

@@ -11,7 +11,7 @@ import pytest
 
 from nkoszul.definitions import (definition_from_algebra, parse_definition,
                                  serialize_definition)
-from nkoszul.algebra import hilbert_dims, symmetric_algebra
+from nkoszul.algebra import symmetric_algebra
 from nkoszul.errors import DefinitionError
 from nkoszul.fields import QQ
 
@@ -29,14 +29,14 @@ ZERO_MOD_7 = ("field gf:7\ngenerators x y\ndegree 2\nrelation 7*x.y\n"
 def test_parse_wedge():
     defn = parse_definition(WEDGE3)
     A = defn.to_algebra()
-    assert hilbert_dims(A, 5) == [1, 1, 1, 0, 0, 0]
+    assert A.hilbert_dims(5) == [1, 1, 1, 0, 0, 0]
 
 
 def test_parse_commutator():
     defn = parse_definition(KXY)
     assert defn.field == QQ
     A = defn.to_algebra()
-    assert hilbert_dims(A, 4) == [1, 2, 3, 4, 5]
+    assert A.hilbert_dims(4) == [1, 2, 3, 4, 5]
 
 
 def test_round_trip():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nkoszul.fields import GF, QQ, PrimeField, field_from_name, field_name
+from nkoszul.fields import QQ, PrimeField, field_from_name, field_name
 
 DEFINITIONS = Path(__file__).resolve().parent.parent / "demos" / "definitions"
 
@@ -28,7 +28,7 @@ def test_rational_exactness():
 
 
 def test_prime_field_arithmetic():
-    F7 = GF(7)
+    F7 = PrimeField(7)
     assert F7.add(5, 4) == 2
     assert F7.mul(3, 5) == 1
     assert F7.inv(3) == 5
@@ -47,22 +47,22 @@ def test_rational_scalars_are_fractions():
 
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
-        GF(10)
+        PrimeField(10)
     with pytest.raises(ValueError):
-        GF(1)
+        PrimeField(1)
     # a big prime is fine
-    assert GF(32003).p == 32003
+    assert PrimeField(32003).p == 32003
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         QQ.inv(QQ.zero)
     with pytest.raises(ZeroDivisionError):
-        GF(5).inv(0)
+        PrimeField(5).inv(0)
     # a denominator that vanishes mod p has no value in GF(p)
     for x in ("1/14", Fraction(3, 7)):
         with pytest.raises(ZeroDivisionError):
-            GF(7).coerce(x)
+            PrimeField(7).coerce(x)
 
 
 def test_field_names_round_trip():
@@ -85,11 +85,11 @@ PSI_13 = 3317044064679887385961981
 
 def test_prime_moduli_are_certified():
     with pytest.raises(ValueError, match="not prime"):
-        GF(PSI_12)
+        PrimeField(PSI_12)
     with pytest.raises(ValueError, match="not below %d" % PSI_13):
-        GF(PSI_13)
+        PrimeField(PSI_13)
     # p - 1 = 2^16: the witness loop squares before it finds p - 1
-    assert GF(65537).inv(3) * 3 % 65537 == 1
+    assert PrimeField(65537).inv(3) * 3 % 65537 == 1
     with pytest.raises(ValueError, match="bad prime field name"):
         field_from_name("gf:x")
 
@@ -105,6 +105,6 @@ def test_cli_refuses_a_pseudoprime_field(capsys):
 
 
 def test_prime_fields_cache_and_compare():
-    assert GF(5) == GF(5)
-    assert GF(5) != GF(7)
-    assert QQ != GF(5)
+    assert PrimeField(5) == PrimeField(5)
+    assert PrimeField(5) != PrimeField(7)
+    assert QQ != PrimeField(5)

@@ -3,6 +3,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,10 @@ from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, circ,
                              symmetric_algebra)
 from nkoszul.definitions import parse_definition
 from nkoszul.errors import DimensionMismatch
-from nkoszul.fields import GF, QQ
+from nkoszul.fields import PrimeField, QQ
 from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             NComplexSlice, _BarBlock, _bar_matrix,
-                            _KoszulSlice, convolution_check,
+                            _compositions, _KoszulSlice, convolution_check,
                             generalized_homology, koszul_K, koszul_L,
                             koszulity_check, kron_sum_apply, lemma2_check,
                             slice_acyclic, tor_dims, tor_pure_degree,
@@ -87,7 +88,7 @@ def _twisted_inputs():
     m = SparseMatrix.from_rows(QQ, rows)
     h = Morphism(B, transported_algebra(B, m), m)
     assert koszul_K(h, 1).scale(0) == 12
-    P = random_algebra(2, 3, rng, field=GF(32003), dim_r=3)
+    P = random_algebra(2, 3, rng, field=PrimeField(32003), dim_r=3)
     fp = random_isomorphism(P, rng)
     assert fp.target is not fp.source
     return [Morphism.identity(commutator_algebra()), Morphism.identity(B), f,
@@ -101,7 +102,7 @@ def _chains(morphism, bound):
 
 def test_differential_matrix_matches_transposed_apply():
     # apply_transposed(k, e_i) holds row i of s_k times the exact matrix
-    nonzero = {QQ: 0, GF(32003): 0}
+    nonzero = {QQ: 0, PrimeField(32003): 0}
     scales = set()
     for morphism in _twisted_inputs():
         rational = morphism.source.field.kind == "rational"
@@ -122,7 +123,7 @@ def test_differential_matrix_matches_transposed_apply():
                                                for i, v in col.items()}
                 nonzero[sl.field] += any(mat.cols)
                 scales.add(s)
-    assert nonzero[QQ] > 20 and nonzero[GF(32003)] > 20
+    assert nonzero[QQ] > 20 and nonzero[PrimeField(32003)] > 20
     assert max(scales) > 12
 
 
@@ -222,7 +223,7 @@ def test_rank_power_closed_forms_on_K_identity(monkeypatch):
 
     monkeypatch.setattr("nkoszul.koszul.Eliminator", CountingEliminator)
     closed = eliminated = twisted = 0
-    for field in (QQ, GF(32003)):
+    for field in (QQ, PrimeField(32003)):
         for N, algebras in _closed_form_algebras(field):
             for A in algebras:
                 ident = Morphism.identity(A)
@@ -276,8 +277,11 @@ def test_degree_zero_slice_has_unit_homology():
 
 
 def test_koszul_K_rejects_negative_degree():
+    ident = Morphism.identity(commutator_algebra())
     with pytest.raises(DimensionMismatch, match="negative total degree"):
-        koszul_K(Morphism.identity(commutator_algebra()), -1)
+        koszul_K(ident, -1)
+    with pytest.raises(DimensionMismatch, match="negative total degree"):
+        NComplexSlice(ident, -1)
 
 
 def test_generalized_homology_validates_p():
@@ -410,7 +414,8 @@ def test_tor_purity_matches_koszulity():
     assert table[(3, 5)] == 16      # off-degree witness
 
 
-@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
+                         ids=["QQ", "GF32003"])
 def test_koszul_tor_is_the_dual_and_inverts_the_hilbert_series(field):
     # for N-Koszul A: dim Tor_2j = dim A!_jN and dim Tor_2j+1 = dim A!_jN+1;
     # for every A: H_A(t) * sum_i (-1)^i Tor_i(t) = 1 in degrees t <= i_max
@@ -539,10 +544,22 @@ def bar_oracle_algebras():
         QQ, 17, lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
     assert any(fractional.component(n).den > 1 for n in range(1, 8))
     # multiples of 7 among the drawn integers vanish mod 7
-    mod7 = drawn_algebra(GF(7), 19,
+    mod7 = drawn_algebra(PrimeField(7), 19,
                          lambda rng: rng.choice((-14, -7, 0, 7, 1, 2, 5, 9)))
     return [load_definition("cubic.alg"), load_definition("wedge3.alg"),
             fractional, mod7]
+
+
+def test_compositions_ascend():
+    # _BarBlock's layout and tor_dims's last-column-first feed read the
+    # compositions in ascending order: the sorted brute-force filter, over
+    # parts of at most total - parts + 1
+    for total in range(11):
+        for parts in range(8):
+            want = sorted(c for c in product(range(1, total - parts + 2),
+                                             repeat=parts)
+                          if sum(c) == total)
+            assert list(_compositions(total, parts)) == want, (total, parts)
 
 
 def test_bar_matrix_matches_reference():
@@ -598,7 +615,7 @@ def tor_sweep_algebras():
     """bar_oracle_algebras plus seeded random draws over QQ and GF(7)."""
     algebras = [(A, 5, 7) for A in bar_oracle_algebras()]
     rng = rng_from_seed(23)
-    for field in (QQ, GF(7)):
+    for field in (QQ, PrimeField(7)):
         for g, N, n_max in ((2, 2, 6), (2, 3, 7), (2, 4, 6), (3, 2, 4),
                             (3, 3, 4)):
             dim_r = rng.randint(1, g ** N - 1)
@@ -733,7 +750,8 @@ def circ_powers_nonzero(f):
     return out
 
 
-@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
+                         ids=["QQ", "GF32003"])
 def test_koszul_element_powers_match_circ_route(field):
     rng = rng_from_seed(37)
     below_n = False

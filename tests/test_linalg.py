@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nkoszul.errors import DimensionMismatch
-from nkoszul.fields import GF, QQ
+from nkoszul.fields import PrimeField, QQ
 from nkoszul.linalg import Subspace, rank, rref
 from nkoszul.sparsela import SparseMatrix
 from nkoszul.words import annihilator
@@ -27,7 +27,7 @@ def test_rref_frozen_rational():
 
 def test_rref_frozen_gf2():
     # over GF(2) the two equal rows collapse to one
-    red, pivots = rref(GF(2), [{0: 1, 1: 1}, {0: 1, 1: 1}])
+    red, pivots = rref(PrimeField(2), [{0: 1, 1: 1}, {0: 1, 1: 1}])
     assert red == ({0: 1, 1: 1},)
     assert pivots == (0,)
 
@@ -57,9 +57,9 @@ def test_matrix_multiply_and_apply():
     b = SparseMatrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert a.compose(b) == SparseMatrix.from_rows(QQ, [[2, 1], [4, 3]])
     assert a.apply({0: QQ.one, 1: QQ.one}) == {0: 3, 1: 7}
-    assert SparseMatrix.identity(GF(7), 2) == SparseMatrix.from_rows(
-        GF(7), [[8, 7], [0, 1]])
-    assert a != SparseMatrix.from_rows(GF(7), [[1, 2], [3, 4]])
+    assert SparseMatrix.identity(PrimeField(7), 2) == SparseMatrix.from_rows(
+        PrimeField(7), [[8, 7], [0, 1]])
+    assert a != SparseMatrix.from_rows(PrimeField(7), [[1, 2], [3, 4]])
     assert a != b
 
 
@@ -107,7 +107,7 @@ def test_coordinates_must_lie_in_the_ambient_space():
     assert not line.contains_vector({0: 1, 1: 2})
     assert not line.contains_vector({1: 1})
     # scalars are coerced: 8 is 1 in GF(7), and 7 is 0
-    line = Subspace.from_vectors(GF(7), 3, [{0: 1, 1: 1}])
+    line = Subspace.from_vectors(PrimeField(7), 3, [{0: 1, 1: 1}])
     assert line.contains_vector({0: 8, 1: 1, 2: 7})
 
 
@@ -130,7 +130,7 @@ def test_rank_nullity(rows):
     assert kernel(rows, ncols).dim + rank(
         SparseMatrix.from_rows(QQ, rows)) == ncols
     # rank eliminates the columns; rref back-substitutes the rows
-    for field in (QQ, GF(7)):
+    for field in (QQ, PrimeField(7)):
         m = SparseMatrix.from_rows(field, rows)
         sparse = [{j: field.coerce(v) for j, v in row.items()}
                   for row in sparse_rows(rows)]

@@ -14,7 +14,6 @@ beta), and for beta != 0 they are 3-Koszul of global dimension 3
 
 import pytest
 
-from nkoszul.algebra import hilbert_dims
 from nkoszul.definitions import parse_definition
 from nkoszul.koszul import koszulity_check, tor_purity, verdict_string
 
@@ -73,7 +72,7 @@ def test_koszul_closed_forms(case):
     text, g, n_max, tor_max = KOSZUL_CASES[case]
     for field in FIELDS:
         A = parse_definition(text, field_override=field).to_algebra()
-        assert hilbert_dims(A, n_max) == closed_form_dims(g, n_max)
+        assert A.hilbert_dims(n_max) == closed_form_dims(g, n_max)
         assert verdict_string(koszulity_check(A, n_max)) == (
             "KoszulUpTo(%d)" % n_max)
         pure, table = tor_purity(A, 4, tor_max)
@@ -85,4 +84,4 @@ def test_koszul_closed_forms(case):
 def test_down_up_with_beta_zero_has_the_same_dims():
     for field in FIELDS:
         A = parse_definition(down_up(1, 0), field_override=field).to_algebra()
-        assert hilbert_dims(A, 10) == closed_form_dims(2, 10)
+        assert A.hilbert_dims(10) == closed_form_dims(2, 10)

@@ -9,7 +9,7 @@ from hypothesis import (event, example, given, settings, strategies as st,
                         target)
 
 from nkoszul.errors import ContractViolation
-from nkoszul.fields import GF, QQ
+from nkoszul.fields import PrimeField, QQ
 from nkoszul.linalg import reversed_subspace, rref
 from nkoszul.sampling import random_subspace, rng_from_seed
 from nkoszul.sparsela import (Eliminator, apply_cols, modulus,
@@ -21,7 +21,7 @@ SCALARS = st.one_of(
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8)))
 # about half the entries zero, so stored rows meet pivots a new row lacks
 SPARSE_SCALARS = st.one_of(st.just(0), SCALARS)
-GF7 = GF(7)
+GF7 = PrimeField(7)
 
 
 @st.composite

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from nkoszul.errors import DimensionMismatch
-from nkoszul.fields import GF, QQ
+from nkoszul.fields import PrimeField, QQ
 from nkoszul.linalg import Subspace
 from nkoszul.words import (annihilator, block_embed, index_word,
                            interleave_index, interleaved_span,
@@ -98,7 +98,7 @@ def test_tensor_subspace_dims():
 
 def test_tensor_subspace_rejects_field_mismatch():
     U = Subspace.from_vectors(QQ, 2, [{0: 1}])
-    V = Subspace.from_vectors(GF(7), 2, [{0: 1}])
+    V = Subspace.from_vectors(PrimeField(7), 2, [{0: 1}])
     with pytest.raises(DimensionMismatch, match="field mismatch"):
         tensor_subspace(U, V)
 
@@ -148,11 +148,13 @@ def spanning_rows(draw):
     return amb, rows
 
 
-@given(spanning_rows(), st.sampled_from([QQ, GF(7), GF(32003)]))
+@given(spanning_rows(),
+       st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]))
 @settings(max_examples=80, deadline=None)
 @example((1, []), QQ)
-@example((1, [[2]]), GF(7))
-@example((4, [[int(i == j) for j in range(4)] for i in range(4)]), GF(32003))
+@example((1, [[2]]), PrimeField(7))
+@example((4, [[int(i == j) for j in range(4)] for i in range(4)]),
+         PrimeField(32003))
 @example((9, [[(3 * i + j * j) % 5 - 2 for j in range(9)] for i in range(9)]),
          QQ)
 def test_annihilator_matches_the_re_eliminating_oracle(case, field):
