@@ -41,7 +41,7 @@ keeps sums of its own (see there).
 from .errors import ContractViolation, DimensionMismatch
 from .fields import QQ
 from .linalg import Subspace, rank
-from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
+from .sparsela import (Eliminator, SparseMatrix, apply_cols,
                        over_common_denominator, primitive_row, settled)
 from .words import (annihilator, block_embed, index_word, interleaved_span,
                     tensor_subspace)
@@ -128,7 +128,7 @@ class NHomogeneousAlgebra:
         """Relation rows as ints: primitive rows over QQ, as stored over GF(p)."""
         if self._int_relation_rows is None:
             rows = self.relations.rows
-            if self.field.kind == "rational":
+            if not self.field.p:
                 rows = [primitive_row(row) for row in rows]
             self._int_relation_rows = rows
         return self._int_relation_rows
@@ -178,8 +178,9 @@ class NHomogeneousAlgebra:
                 # they may hold zeros (mod p), and are only read, so a
                 # class c * (one basis word) can share its column.  This
                 # loop, and the row assembly below, are not apply_cols:
-                # only the fed row is settled, and settling every class
-                # made GF(p) towers about 9 % slower
+                # only the fed row is settled, so these sums skip the
+                # zero test apply_cols makes on each one, and the GF(p)
+                # towers run slower through apply_cols
                 cur = {0: {pu: 1}}
                 for cols_k in tables:
                     nxt = {}
@@ -266,7 +267,7 @@ class NHomogeneousAlgebra:
             if n == 1:
                 comp.lmul_cols = [[{j: 1}] for j in range(g)]
             else:
-                p = modulus(self.field)
+                p = self.field.p
                 prev = self.component(n - 1)
                 prev2 = self.component(n - 2)
                 lm_prev = self.lmul(n - 1)
@@ -284,7 +285,7 @@ class NHomogeneousAlgebra:
 
     def _times_word(self, vec, m, word):
         """Class of vec * word, for a sparse degree-m vec and a letter tuple."""
-        p = modulus(self.field)
+        p = self.field.p
         for deg, letter in enumerate(word, start=m + 1):
             vec = apply_cols(p, self.component(deg).rmul_cols[letter], vec)
         return vec
@@ -309,7 +310,7 @@ class NHomogeneousAlgebra:
                 key = (pos_a, pos_b)
                 cols[key] = product(m, pos_a, k, pos_b)
                 weights[key] = ca * cb
-        return apply_cols(modulus(self.field), cols, weights)
+        return apply_cols(self.field.p, cols, weights)
 
     # -- duality ----------------------------------------------------------
 
@@ -384,7 +385,7 @@ def _transported_rows(algebra, matrix):
                          for i, v in cols[letter].items()}
             for t, tc in terms.items():
                 image[t] = image.get(t, 0) + tc
-        images.append(settled(image, modulus(algebra.field)))
+        images.append(settled(image, algebra.field.p))
     return images
 
 

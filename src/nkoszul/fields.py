@@ -3,11 +3,12 @@
 Scalars are plain Python objects (fractions.Fraction for the rationals,
 ints in [0, p) for GF(p)), so sparse containers stay lightweight.  The
 elimination kernel and the sparse sums of ``sparsela`` work on plain
-integers and ``modulus(field)``.  Field objects are read for the rest:
-which kernel to run (``kind``, ``p``), input scalars (``coerce``), the
-few scalar steps that build rows outside the kernel (``zero``, ``one``,
-``neg``, ``add``, ``mul``), integer rows turned back into field scalars
-(``ratio``), and whether two objects share a field (equality).
+integers and the characteristic ``p``: p over GF(p), 0 over QQ, which
+also picks the kernel to run.  Field objects are read for the rest:
+input scalars (``coerce``), the few scalar steps that build rows
+outside the kernel (``zero``, ``one``, ``neg``, ``add``, ``mul``),
+integer rows turned back into field scalars (``ratio``), the printed
+name (``kind``), and whether two objects share a field (equality).
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ class RationalField:
     """The field of rational numbers with exact arithmetic."""
 
     kind = "rational"
+    p = 0
 
     def __init__(self):
         self.zero = self.coerce(0)
@@ -30,10 +32,6 @@ class RationalField:
     @staticmethod
     def add(a, b):
         return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
 
     @staticmethod
     def mul(a, b):
@@ -119,9 +117,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p

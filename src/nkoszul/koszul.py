@@ -43,7 +43,7 @@ from itertools import combinations
 
 from .algebra import Morphism
 from .errors import ContractViolation, DimensionMismatch
-from .sparsela import (Eliminator, SparseMatrix, apply_cols, modulus,
+from .sparsela import (Eliminator, SparseMatrix, apply_cols,
                        over_common_denominator, settled, transpose_cols)
 
 PositionInfo = namedtuple("PositionInfo",
@@ -58,9 +58,9 @@ def kron_sum_apply(p, xs, ys, y_src, y_tgt, vec):
     coordinates are x * y_src + y, target coordinates x' * y_tgt + y'.
     The scalars (ints, or Fractions over QQ) are multiplied and summed
     as they are; the sums are reduced mod p unless p is 0, and zeros
-    dropped, once at the end.  It is not ``apply_cols``: each source
-    entry fans out through a product of two columns, and settling once
-    per call keeps the mod p out of that double loop.
+    dropped, once at the end.  It settles like ``apply_cols`` and
+    differs only in the fan-out: each source entry goes through a
+    Kronecker product of two columns instead of through one column.
     """
     factors = tuple(zip(xs, ys))
     out = {}
@@ -101,7 +101,6 @@ class _KoszulSlice:
         self.field = source.field
         self.N = source.N
         self.bang = source.dual()
-        self._p = modulus(self.field)
         self._identity = (source is self.target
                           and morphism.matrix == SparseMatrix.identity(
                               self.field, source.dim_e))
@@ -128,7 +127,7 @@ class _KoszulSlice:
         (fcols,), fscale = over_common_denominator(
             self.field, [self.morphism.matrix.cols])
         by_src = list(zip(*cols))
-        return ([[apply_cols(self._p, at_src, fcol) for at_src in by_src]
+        return ([[apply_cols(self.field.p, at_src, fcol) for at_src in by_src]
                  for fcol in fcols], scale * fscale)
 
     def _op(self, k, transposed=False):
@@ -174,7 +173,7 @@ class _KoszulSlice:
         op = self._op(k)
         if op is None or not vec:
             return {}
-        return kron_sum_apply(self._p, *op[0], vec)
+        return kron_sum_apply(self.field.p, *op[0], vec)
 
     def apply_transposed(self, k, vec):
         """Apply s_k times the transposed position-k map to a vector on k+1.
@@ -184,7 +183,7 @@ class _KoszulSlice:
         op = self._op(k, True)
         if op is None or not vec:
             return {}
-        return kron_sum_apply(self._p, *op[0], vec)
+        return kron_sum_apply(self.field.p, *op[0], vec)
 
     def differential(self, k):
         """The exact map at position k as a sparse matrix."""
@@ -192,7 +191,7 @@ class _KoszulSlice:
         cols = [self.apply_differential(k, {j: 1})
                 for j in range(src_dim)]
         field = self.field
-        if field.kind == "rational":
+        if not field.p:
             s, ratio = self.scale(k), field.ratio
             cols = [{i: ratio(v, s) for i, v in col.items()}
                     for col in cols]
@@ -726,7 +725,7 @@ class ConvolutionContext:
         trailing one with alpha; with that orientation the induced
         operators compose as d_alpha o d_beta = d_{alpha * beta}.
         """
-        p = modulus(self.field)
+        p = self.field.p
         out = {}
         for m in range(m_max + 1):
             wm = self.bang.dim(m)
@@ -779,7 +778,7 @@ class ConvolutionContext:
         multiplication by a on B^!.
         """
         field, one = self.field, self.field.one
-        p = modulus(field)
+        p = field.p
         offsets = _block_offsets(self.target, self.bang, t)
         cols = [dict() for _ in range(offsets[-1])]
         for m in range(t + 1):

@@ -11,7 +11,7 @@ is.
 """
 
 from .errors import DimensionMismatch
-from .sparsela import Eliminator, apply_cols, modulus
+from .sparsela import Eliminator, apply_cols
 
 
 def rref(field, rows):
@@ -96,7 +96,7 @@ class Subspace:
         """
         vec = _settled_row(self.field, self.ambient_dim, vec)
         coords = {i: vec[p] for i, p in enumerate(self.pivots) if p in vec}
-        return apply_cols(modulus(self.field), self.rows, coords) == vec
+        return apply_cols(self.field.p, self.rows, coords) == vec
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .errors import ContractViolation, DimensionMismatch
 from .linalg import Subspace, reversed_subspace
-from .sparsela import apply_cols, modulus
+from .sparsela import apply_cols
 from .words import block_embed, index_word, word_index
 
 
@@ -34,7 +34,7 @@ class ReductionOperator:
         """S applied to a sparse vector {word: scalar}, as a new dict."""
         one = self.relations.field.one
         cols = {w: self.rewrites.get(w, {w: one}) for w in vector}
-        return apply_cols(modulus(self.relations.field), cols, vector)
+        return apply_cols(self.relations.field.p, cols, vector)
 
     def __repr__(self):
         return "ReductionOperator(leading=%r)" % (self.leading_words,)
@@ -77,11 +77,18 @@ def lemma3_check(relations, r, dim_e):
 
     Returns (equal, conclusion) with conclusion one of "Zero", "Full",
     "NotEqual".  Equality with 0 < dim R < full raises, since that would
-    contradict the dichotomy.
+    contradict the dichotomy.  R must lie in E^(x)n for some n >= 1, with
+    dim E = dim_e.
     """
     if r < 1:
         raise DimensionMismatch("r must be at least 1")
     amb = relations.ambient_dim
+    power = dim_e
+    while 1 < power < amb:
+        power *= dim_e
+    if power != amb:
+        raise DimensionMismatch(
+            "ambient dimension %d is no power of dim E = %d" % (amb, dim_e))
     left = block_embed(relations, dim_e, 0, r)
     right = block_embed(relations, dim_e, r, 0)
     if left != right:
@@ -119,5 +126,10 @@ def monomial_rotation_closure(words, r, alphabet_size):
 
 def monomial_subspace(field, dim_e, n, words):
     """Span of unit vectors at the given words inside E^(x)n."""
-    return Subspace.from_vectors(
-        field, dim_e ** n, [{word_index(tuple(w), dim_e): 1} for w in words])
+    rows = []
+    for w in map(tuple, words):
+        if len(w) != n:
+            raise DimensionMismatch("word %r does not have n = %d letters"
+                                    % (w, n))
+        rows.append({word_index(w, dim_e): 1})
+    return Subspace.from_vectors(field, dim_e ** n, rows)

@@ -18,20 +18,16 @@ after back-substituting in one pass per row, from the largest pivot
 down, with the same clearing step.
 
 ``apply_cols`` is the package's one sparse accumulate: a sparse vector
-pushed through sparse columns, with one branch per field like the
-clearing step.  ``over_common_denominator`` turns QQ tables of sparse
-columns into integer tables over one denominator.
+pushed through sparse columns in one loop for every field, settled mod
+p once at the end.  Like ``settled`` it takes the characteristic
+``field.p``, 0 over QQ.  ``over_common_denominator`` turns QQ tables of
+sparse columns into integer tables over one denominator.
 """
 
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import ContractViolation, DimensionMismatch
-
-
-def modulus(field):
-    """p over GF(p), 0 over QQ: what ``settled`` and ``apply_cols`` take."""
-    return field.p if field.kind == "prime" else 0
 
 
 def settled(vec, p):
@@ -44,35 +40,22 @@ def settled(vec, p):
 def apply_cols(p, cols, vec):
     """Sum of c * cols[src] over the entries src: c of vec, as a new dict.
 
-    p is ``modulus(field)``.  Over GF(p) every sum is reduced mod p as it
-    is formed, so the scalars given need not be.  Over QQ (p = 0) the
-    scalars, ints or Fractions, are added as given; vec and the columns
-    hold no zeros there.  Entries that cancel are dropped, and neither
-    vec nor the columns are changed.
+    p is the characteristic ``field.p``.  The scalars (ints, or Fractions
+    over QQ) are multiplied and added as given, and a sum that is exactly
+    0 is dropped.  Over GF(p) the sums are reduced mod p once, at the
+    end, so the scalars given need not be; over QQ (p = 0) they are
+    returned as accumulated.  Neither vec nor the columns are changed.
     """
     out = {}
     get = out.get
-    if p:
-        for src, c in vec.items():
-            for j, v in cols[src].items():
-                s = (get(j, 0) + c * v) % p
-                if s:
-                    out[j] = s
-                elif j in out:
-                    del out[j]
-    else:
-        for src, c in vec.items():
-            for j, v in cols[src].items():
-                cur = get(j)
-                if cur is None:
-                    out[j] = c * v
-                else:
-                    s = cur + c * v
-                    if s:
-                        out[j] = s
-                    else:
-                        del out[j]
-    return out
+    for src, c in vec.items():
+        for j, v in cols[src].items():
+            s = get(j, 0) + c * v
+            if s:
+                out[j] = s
+            elif j in out:
+                del out[j]
+    return settled(out, p) if p else out
 
 
 def over_common_denominator(field, tables):
@@ -83,7 +66,7 @@ def over_common_denominator(field, tables):
     int_tables[l][s] is den times tables[l][s]; over GF(p) the tables are
     returned as they are, with den 1.
     """
-    if field.kind != "rational":
+    if field.p:
         return tables, 1
     den = lcm(*{v.denominator for table in tables for col in table
                 for v in col.values()})
@@ -212,7 +195,7 @@ class Eliminator:
     def __init__(self, field):
         self.field = field
         self.pivot_rows = {}  # pivot column -> row dict
-        self._integer_rows = field.kind == "rational"
+        self._integer_rows = not field.p
         self._finalized = False
         self._clear = (int_eliminate if self._integer_rows
                        else gf_eliminator(field.p))
@@ -325,7 +308,7 @@ class SparseMatrix:
 
     def apply(self, vec):
         """Apply to a sparse vector dict, returning a new dict."""
-        return apply_cols(modulus(self.field), self.cols, vec)
+        return apply_cols(self.field.p, self.cols, vec)
 
     def compose(self, other):
         """self after other (matrix product, column by column)."""

@@ -248,6 +248,9 @@ def test_is_morphism_and_identity():
     # x, y -> x: a morphism of the right shape, but of rank 1
     collapse = SparseMatrix.from_rows(QQ, [[1, 1], [0, 0]])
     assert not Morphism(A, A, collapse).is_isomorphism()
+    # x -> x from one generator into two: injective, but no isomorphism
+    inclusion = SparseMatrix.from_rows(QQ, [[1], [0]])
+    assert not Morphism(free_algebra(1, 2), T, inclusion).is_isomorphism()
 
 
 def test_identity_is_a_morphism():

@@ -11,7 +11,7 @@ import pytest
 
 from nkoszul.definitions import (definition_from_algebra, parse_definition,
                                  serialize_definition)
-from nkoszul.algebra import symmetric_algebra
+from nkoszul.algebra import free_algebra, symmetric_algebra
 from nkoszul.errors import DefinitionError
 from nkoszul.fields import QQ
 
@@ -152,6 +152,9 @@ def test_definition_from_algebra_round_trip():
     # the algebra's relation rows are handed over as they are
     for B in (A, A.dual()):
         assert definition_from_algebra(B).relations == list(B.relations.rows)
+    # names the format cannot spell fall back to g0, g1, ...
+    unspellable = free_algebra(2, 2, gen_names=("1x", "y"))
+    assert definition_from_algebra(unspellable).generators == ("g0", "g1")
 
 
 def run_cli(args, files, **kwargs):

@@ -30,12 +30,15 @@ def test_demo_runs_cleanly(demo):
     assert res.stdout == (OUTPUTS / (demo.stem + ".txt")).read_text()
 
 
-def test_readme_library_snippet_runs():
-    # the python block under "## Library entry points" in README.md
+def readme_library_block():
+    """The python block under "## Library entry points" in README.md."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library entry points", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    res = run_python(["-c", code])
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_snippet_runs():
+    res = run_python(["-c", readme_library_block()])
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
     assert res.stdout.splitlines()[-1] == \

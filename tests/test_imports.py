@@ -1,14 +1,17 @@
 """Nothing in the sources is bound and never read.
 
 Every imported name and every local variable in src/, tests/ and demos/
-is read where it is bound, every function, class and method defined
-in src/ is read somewhere in src/, demos/ or bench/, and every attribute
-a class in src/ stores is read somewhere in src/, demos/, bench/ or
-tests/.
+is read where it is bound, and so is every name the README's library
+block imports.  Every function, class and method defined in src/ is read
+somewhere in src/, demos/ or bench/ (a method as an attribute), and
+every attribute a class in src/ stores is read somewhere in src/,
+demos/, bench/ or tests/.
 """
 
 import ast
 from pathlib import Path
+
+from test_demos import readme_library_block
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(path for top in ("src", "tests", "demos")
@@ -56,6 +59,8 @@ def test_no_unused_imports():
     found = ["%s:%d: %s" % (path.relative_to(ROOT), line, name)
              for path in SOURCES
              for line, name in unused_imports(path.read_text())]
+    found += ["README.md library block:%d: %s" % (line, name)
+              for line, name in unused_imports(readme_library_block())]
     assert found == []
 
 
@@ -124,16 +129,19 @@ def test_unused_local_scan_sees_each_form():
 
 
 def definitions(source):
-    """(line, name, at module level) for each function, class and method.
+    """(line, name, at module level, is a method) for each function, class
+    and method; a method is a ``def`` directly in a class body.
 
     Dunder methods are left out: Python itself calls them.
     """
     tree = ast.parse(source)
     top = set(tree.body)
-    return sorted((node.lineno, node.name, node in top)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, functions)}
+    return sorted((node.lineno, node.name, node in top, node in methods)
                   for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))
+                  if isinstance(node, (*functions, ast.ClassDef))
                   and not (node.name.startswith("__")
                            and node.name.endswith("__")))
 
@@ -157,18 +165,24 @@ def names_read(source):
     return out
 
 
-def unread_definitions(source, read, exported=frozenset()):
+def unread_definitions(source, read, attributes, exported=frozenset()):
     """(line, name) of each definition in source whose name is not read.
 
-    A module-level name in exported counts as read: the package imports
-    it into its public API.  A method needs a read of its own.
+    read is every name read (``names_read``), attributes only the
+    attribute reads and identifier strings (``attributes_read``).  A
+    method counts as read only through attributes, since a bare name of
+    its spelling is another binding.  A module-level name in exported
+    counts as read: the package imports it into its public API.
     """
-    return [(line, name) for line, name, top in definitions(source)
-            if name not in read and not (top and name in exported)]
+    return [(line, name) for line, name, top, method in definitions(source)
+            if name not in (attributes if method else read)
+            and not (top and name in exported)]
 
 
 def test_no_dead_definitions():
     read = set().union(*(names_read(path.read_text()) for path in READERS))
+    attributes = set().union(*(attributes_read(path.read_text())
+                               for path in READERS))
     init = (LIBRARY / "__init__.py").read_text()
     exported = {alias.asname or alias.name
                 for node in ast.parse(init).body
@@ -177,7 +191,7 @@ def test_no_dead_definitions():
     found = ["%s:%d: %s" % (path.relative_to(ROOT), line, name)
              for path in sorted(LIBRARY.rglob("*.py"))
              for line, name in unread_definitions(path.read_text(), read,
-                                                  exported)]
+                                                  attributes, exported)]
     assert found == []
 
 
@@ -194,14 +208,27 @@ def test_dead_definition_scan_sees_each_form():
               "def api():\n"
               "    def inner():\n"
               "        pass\n")
-    read = names_read(source)
-    assert unread_definitions(source, read) == [
+    read, attributes = names_read(source), attributes_read(source)
+    assert unread_definitions(source, read, attributes) == [
         (1, "A"), (8, "api"), (10, "api"), (11, "inner")]
     # an exported module-level name is read; a method of that name is not
-    assert unread_definitions(source, read, {"A", "api"}) == [
+    assert unread_definitions(source, read, attributes, {"A", "api"}) == [
         (8, "api"), (11, "inner")]
     assert "used" in names_read("x.used()\n")
     assert "used" not in names_read("x.used = 1\n")
+    # a local of a method's name does not read the method, while a bare
+    # name reads a module-level or nested function
+    source = ("class B:\n"
+              "    def sub(self, a):\n"
+              "        sub = a\n"
+              "        return sub\n"
+              "def outer():\n"
+              "    def inner():\n"
+              "        pass\n"
+              "    return inner\n"
+              "outer()\n")
+    assert unread_definitions(source, names_read(source),
+                              attributes_read(source)) == [(1, "B"), (2, "sub")]
 
 
 def _slot_lists(tree):

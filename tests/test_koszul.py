@@ -504,7 +504,7 @@ def reference_bar_matrix(algebra, blocks, i, t):
     field = algebra.field
     src = blocks[(i, t)]
     tgt = blocks[(i - 1, t)]
-    neg, add, sub = field.neg, field.add, field.sub
+    neg, add = field.neg, field.add
     cols = []
     for comp, poss in bar_elements(src):
         col = {}
@@ -514,15 +514,15 @@ def reference_bar_matrix(algebra, blocks, i, t):
                 prod = algebra.basis_product(comp[j], poss[j],
                                              comp[j + 1], poss[j + 1])
                 odd = j % 2     # the term of merge position j has sign (-1)^j
-                acc = sub if odd else add
                 for pos_m, c in prod.items():
                     new_poss = poss[:j] + (pos_m,) + poss[j + 2:]
                     tix = bar_index(tgt, merged, new_poss)
+                    term = neg(c) if odd else c
                     cur = col.get(tix)
                     if cur is None:
-                        col[tix] = neg(c) if odd else c
+                        col[tix] = term
                     else:
-                        s = acc(cur, c)
+                        s = add(cur, term)
                         if s:
                             col[tix] = s
                         else:

@@ -1,10 +1,12 @@
 """Reduction operators and the commuting-subspace dichotomy."""
 
+import re
 from itertools import combinations
 
 import pytest
 
 import nkoszul.reduction
+from nkoszul.algebra import symmetric_algebra
 from nkoszul.cli import main
 from nkoszul.definitions import parse_definition
 from nkoszul.errors import ContractViolation, DimensionMismatch
@@ -84,6 +86,14 @@ def test_rewrites_terminate_by_descent():
         assert op.apply(once) == once
 
 
+def test_random_subspace_dim_lies_in_the_ambient_space():
+    rng = rng_from_seed(43)
+    assert random_subspace(QQ, 3, rng, dim=3) == Subspace.full(QQ, 3)
+    for dim in (4, -1):
+        with pytest.raises(ValueError, match="dim out of range"):
+            random_subspace(QQ, 3, rng, dim=dim)
+
+
 # Reversed forms of R = span(x.y - y.x) in E^(x)2, coordinate j read as
 # 3 - j, that each break one check of reduction_operator: a rewrite that
 # climbs, a rewrite into another leading word, and a valid form of the
@@ -153,6 +163,12 @@ def test_lemma3_trivial_cases():
     assert lemma3_check(Subspace.full(QQ, 8), 2, 2) == (True, "Full")
     with pytest.raises(DimensionMismatch):
         lemma3_check(Subspace.zero(QQ, 8), 0, 2)
+    # R of xy - yx has 4 = 2^2 = 4^1 coordinates: no power of 3, 1 or 8
+    R = symmetric_algebra(2).relations
+    assert lemma3_check(R, 1, 4) == (False, "NotEqual")
+    for dim_e in (3, 1, 8):
+        with pytest.raises(DimensionMismatch, match="no power of dim E"):
+            lemma3_check(R, 1, dim_e)
 
 
 def test_lemma3_rejects_intermediate_commuting_space():
@@ -165,6 +181,8 @@ def test_lemma3_rejects_intermediate_commuting_space():
 def test_rotation_closure_example():
     cl = monomial_rotation_closure([(0, 0)], 1, 2)
     assert cl == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    with pytest.raises(DimensionMismatch):
+        monomial_rotation_closure([(0, 1)], 0, 2)
 
 
 def test_rotation_closure_fixed_points():
@@ -172,6 +190,15 @@ def test_rotation_closure_fixed_points():
     allwords = [index_word(i, 2, 2) for i in range(4)]
     assert monomial_rotation_closure(allwords, 1, 2) == set(allwords)
     assert monomial_rotation_closure([], 2, 2) == set()
+
+
+@pytest.mark.parametrize("n, word", [(2, (0, 0, 1)), (3, (1, 1))],
+                         ids=["too-long", "too-short"])
+def test_monomial_subspace_rejects_words_of_the_wrong_length(n, word):
+    # read at its own length, the word would name another word of length n
+    message = "word %r does not have n = %d letters" % (word, n)
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        monomial_subspace(QQ, 2, n, [(0,) * n, word])
 
 
 def test_monomial_dichotomy_exhaustive_small():

@@ -12,8 +12,7 @@ from nkoszul.errors import ContractViolation
 from nkoszul.fields import PrimeField, QQ
 from nkoszul.linalg import reversed_subspace, rref
 from nkoszul.sampling import random_subspace, rng_from_seed
-from nkoszul.sparsela import (Eliminator, apply_cols, modulus,
-                              over_common_denominator)
+from nkoszul.sparsela import Eliminator, apply_cols, over_common_denominator
 from oracles import dense_rows, row_axpy, sparse_rows
 
 SCALARS = st.one_of(
@@ -80,7 +79,8 @@ def gauss_jordan_rref(field, rows, ncols):
                 dst = rows[i]
                 for j in range(col, ncols):
                     if src[j]:
-                        dst[j] = field.sub(dst[j], field.mul(c, src[j]))
+                        dst[j] = field.add(dst[j],
+                                           field.neg(field.mul(c, src[j])))
         pivots.append(col)
         prow += 1
         if prow == len(rows):
@@ -122,7 +122,8 @@ def multipass_pivot_rows(field, rows):
                     prow = stored[j]
                     c = field.mul(row[j], field.inv(prow[j]))
                     for k, v in prow.items():
-                        s = field.sub(row.get(k, field.zero), field.mul(c, v))
+                        s = field.add(row.get(k, field.zero),
+                                      field.neg(field.mul(c, v)))
                         if s:
                             row[k] = s
                         else:
@@ -283,7 +284,8 @@ def column_by_column_rref(elim):
             if other < piv and piv in row:
                 c = field.mul(row[piv], field.inv(src[piv]))
                 for k, v in src.items():
-                    s = field.sub(row.get(k, field.zero), field.mul(c, v))
+                    s = field.add(row.get(k, field.zero),
+                                  field.neg(field.mul(c, v)))
                     if s:
                         row[k] = s
                     else:
@@ -442,7 +444,7 @@ def column_sums(draw, entries, units, inverse):
 
 def check_apply_cols(field, cols, vec):
     before = ([dict(col) for col in cols], dict(vec))
-    got = apply_cols(modulus(field), cols, vec)
+    got = apply_cols(field.p, cols, vec)
     assert ([dict(col) for col in cols], dict(vec)) == before
     want = {}
     for src, c in vec.items():
