@@ -165,7 +165,7 @@ class NHomogeneousAlgebra:
         n-N+1 .. n-1.
         """
         n = len(self._components)
-        g, N = self.dim_e, self.N
+        g, N, p = self.dim_e, self.N, self.field.p
         prev = self._components[n - 1]
         elim = Eliminator(self.field)
         if n >= N and self.relations.dim and prev.dim:
@@ -209,10 +209,10 @@ class NHomogeneousAlgebra:
                         for tpos, tc in cur[vpre].items():
                             col = tpos * g + last
                             row[col] = get(col, 0) + c * tc
-                    # add() reduces mod p, or to a primitive row, and
-                    # drops the zeros
+                    # add() takes a GF(p) row over in stored form, so it
+                    # is settled here; over QQ add() makes it primitive
                     if row:
-                        elim.add(row)
+                        elim.add(settled(row, p) if p else row)
         pivot_rows = elim.pivot_rows
         normal_words = []
         for col in range(prev.dim * g):

@@ -61,6 +61,8 @@ def kron_sum_apply(p, xs, ys, y_src, y_tgt, vec):
     dropped, once at the end.  It settles like ``apply_cols`` and
     differs only in the fan-out: each source entry goes through a
     Kronecker product of two columns instead of through one column.
+    Over GF(p) the output is in the form ``Eliminator.add`` takes over,
+    so ``rank_power`` feeds it as it is.
     """
     factors = tuple(zip(xs, ys))
     out = {}
@@ -560,7 +562,9 @@ def _bar_matrix(algebra, blocks, i, t, skip):
 
     The columns whose indices are in ``skip`` are left empty: nothing is
     written into them.  ``tor_dims`` passes the columns that the level
-    above proves dependent.
+    above proves dependent.  Each entry is a settled product coefficient
+    or its negative, so over GF(p) every column is in the form
+    ``Eliminator.add`` takes over, and is fed as it is.
     """
     neg, product = algebra.field.neg, algebra.basis_product
     src, tgt = blocks[(i, t)], blocks[(i - 1, t)]
@@ -608,14 +612,25 @@ def tor_dims(algebra, i_max, n_max):
     the ideal (R) has nothing below degree N (Berger 2001).  So rank d_3
     = dim (A_+)^(x)2 - dim A_t - [t = N] dim R in degree t >= 2.
 
-    Each degree t ranks the levels i_max + 1 down to 4 with clearing
+    The levels above are read off the same theorem where it decides
+    them.  Every generator of the minimal resolution of K at level i
+    sits in degree >= nu(i) = ``tor_pure_degree(i, N)`` (Berger 2001;
+    Anick 1986: every i-chain has length >= nu(i)), so Tor_{i,t} = 0 for
+    t < nu(i) on every N-homogeneous algebra.  Each level i >= 4 with
+    nu(i) > t therefore has rank d_i = dim B_{i,t} - rank d_{i+1} in
+    degree t, from B_{t+1,t} = 0 down; only block dims are read.  Only
+    the levels min(i_max + 1, L - 1) down to 4 build a bar matrix, L the
+    lowest level with nu(L) > t.
+
+    Each degree ranks those levels from the top down with clearing
     (Chen-Kerber 2011): the pivot columns of level i + 1 are neither
-    built into d_i nor fed.  That is exact over every field and in any
-    feed order.  A row v stored by the eliminator of d_{i+1} lies in
-    im d_{i+1}, and its pivot j is its smallest index.  Since d_i(v) = 0,
-    column j of d_i is a combination of columns with larger index, so by
-    descending induction on j the columns kept span what all the columns
-    span.
+    built into d_i nor fed.  The top eliminated level has no eliminated
+    level above it, so nothing is cleared there.  Clearing is exact over
+    every field and in any feed order.  A row v stored by the eliminator
+    of d_{i+1} lies in im d_{i+1}, and its pivot j is its smallest index.
+    Since d_i(v) = 0, column j of d_i is a combination of columns with
+    larger index, so by descending induction on j the columns kept span
+    what all the columns span.
 
     The feed order decides what the skip saves.  The columns follow
     _compositions' ascending layout and are fed last column first: that
@@ -626,23 +641,45 @@ def tor_dims(algebra, i_max, n_max):
     wasted reduction: the eliminator stores the same rows as without
     clearing.  Fed in ascending order, column j would come first and be
     stored, and skipping it would change the rows the others meet.
+
+    The table is checked on dims alone, and ``ContractViolation`` is
+    raised on a failure.  Every dim must be >= 0.  And the Euler
+    identity of the bar complex, H_A(z) * sum_i (-1)^i Tor_i(z) = 1,
+    must hold in each degree t <= min(n_max, max(i_max, nu(i_max+1) - 1)):
+    sum_{s <= t} sum_{i <= min(s, i_max)} (-1)^i Tor_{i,s} dim A_{t-s}
+    = [t = 0].  Below nu(i_max + 1) no Tor_i with i > i_max is nonzero,
+    so truncating at i_max drops no term.  The identity checks the
+    ranks read off the presentation and the theorem against the Hilbert
+    series.  An eliminated rank cancels out of it, as it lowers Tor_i and
+    Tor_{i-1} alike; a rank too high shows where it makes a dim negative.
     """
-    field = algebra.field
+    field, N = algebra.field, algebra.N
+    dims = algebra.hilbert_dims(n_max)
+    # bar[i][t] = dim (A_+)^(x)i in degree t, by the first part's degree
+    bar = [[1] + [0] * n_max]
+    for _ in range(max(i_max + 1, n_max)):
+        below = bar[-1]
+        bar.append([sum(dims[s] * below[t - s] for s in range(1, t + 1))
+                    for t in range(n_max + 1)])
     blocks = {}
-    for i in range(i_max + 2):
-        for t in range(n_max + 1):
-            blocks[(i, t)] = _BarBlock(algebra, i, t)
     ranks = {}
     for t in range(n_max + 1):
         if t >= 2 and i_max >= 1:
             # rank d_2 and rank d_3 from the presentation, as above
-            ranks[(2, t)] = algebra.dim(t)
-            ranks[(3, t)] = (blocks[(2, t)].dim - ranks[(2, t)]
-                             - (algebra.relations.dim if t == algebra.N
-                                else 0))
+            ranks[(2, t)] = dims[t]
+            ranks[(3, t)] = (bar[2][t] - dims[t]
+                             - (algebra.relations.dim if t == N else 0))
+        # Tor_{i,t} = 0 below nu(i), as above
+        i = t
+        while i >= 4 and tor_pure_degree(i, N) > t:
+            ranks[(i, t)] = bar[i][t] - ranks.get((i + 1, t), 0)
+            i -= 1
+        top = min(i, i_max + 1)
+        for k in range(3, top + 1):
+            blocks[(k, t)] = _BarBlock(algebra, k, t)
         cleared = set()
-        for i in range(i_max + 1, 3, -1):
-            if blocks[(i, t)].dim == 0 or blocks[(i - 1, t)].dim == 0:
+        for i in range(top, 3, -1):
+            if bar[i][t] == 0 or bar[i - 1][t] == 0:
                 ranks[(i, t)], cleared = 0, set()
                 continue
             # rebinding elim frees the rows of level i + 1 before d_i is
@@ -656,8 +693,20 @@ def tor_dims(algebra, i_max, n_max):
     table = {}
     for i in range(i_max + 1):
         for t in range(n_max + 1):
-            table[(i, t)] = (blocks[(i, t)].dim - ranks.get((i, t), 0)
-                             - ranks.get((i + 1, t), 0))
+            dim = (bar[i][t] - ranks.get((i, t), 0)
+                   - ranks.get((i + 1, t), 0))
+            if dim < 0:
+                raise ContractViolation(
+                    "negative dim Tor_%d = %d in degree %d" % (i, dim, t))
+            table[(i, t)] = dim
+    window = min(n_max, max(i_max, tor_pure_degree(i_max + 1, N) - 1))
+    for t in range(window + 1):
+        euler = sum((-1) ** i * table[(i, s)] * dims[t - s]
+                    for s in range(t + 1) for i in range(min(s, i_max) + 1))
+        if euler != (t == 0):
+            raise ContractViolation(
+                "Tor table breaks the Euler identity of the bar complex "
+                "in degree %d: %d" % (t, euler))
     return table
 
 

@@ -11,7 +11,20 @@ is.
 """
 
 from .errors import DimensionMismatch
-from .sparsela import Eliminator, apply_cols
+from .sparsela import Eliminator, apply_cols, settled
+
+
+def _eliminated(field, rows):
+    """An eliminator fed the rows, which are left as they are.
+
+    Over GF(p) ``Eliminator.add`` reduces its row in place, so it gets a
+    settled copy; over QQ it makes its own primitive copy.
+    """
+    elim = Eliminator(field)
+    p = field.p
+    for row in rows:
+        elim.add(settled(row, p) if p else row)
+    return elim
 
 
 def rref(field, rows):
@@ -19,11 +32,11 @@ def rref(field, rows):
 
     Returns (rows, pivots): the nonzero rows of the canonical RREF of the
     row space as dicts, in increasing pivot order, each with entry
-    ``field.one`` at its pivot and no entry at another pivot.
+    ``field.one`` at its pivot and no entry at another pivot.  The rows
+    given are not changed, and over GF(p) their integer scalars need not
+    be reduced mod p.
     """
-    elim = Eliminator(field)
-    for row in rows:
-        elim.add(row)
+    elim = _eliminated(field, rows)
     elim.finalize()
     pivots = tuple(sorted(elim.pivot_rows))
     return tuple(elim.pivot_rows[p] for p in pivots), pivots
@@ -32,12 +45,10 @@ def rref(field, rows):
 def rank(matrix):
     """Rank of a ``SparseMatrix``, from eliminating its columns.
 
-    It is read from the forward elimination, without back-substituting.
+    It is read from the forward elimination, without back-substituting,
+    and the matrix is not changed.
     """
-    elim = Eliminator(matrix.field)
-    for col in matrix.cols:
-        elim.add(col)
-    return elim.rank
+    return _eliminated(matrix.field, matrix.cols).rank
 
 
 def _settled_row(field, ambient_dim, row):

@@ -106,11 +106,24 @@ def monomial_rotation_closure(words, r, alphabet_size):
 
     If the span of the word set commutes with E^(x)r, every word reachable
     this way must also lie in it, so closure = all words certifies that
-    the monomial equality case forces fullness.
+    the monomial equality case forces fullness.  The words must share
+    one length n >= r, with letters in range(alphabet_size).
     """
     if r < 1:
         raise DimensionMismatch("r must be at least 1")
-    closure = set(tuple(w) for w in words)
+    words = [tuple(w) for w in words]
+    n = len(words[0]) if words else r
+    for w in words:
+        if len(w) != n:
+            raise DimensionMismatch("word %r does not have n = %d letters"
+                                    % (w, n))
+        if not all(0 <= letter < alphabet_size for letter in w):
+            raise DimensionMismatch("word %r has a letter outside alphabet "
+                                    "of size %d" % (w, alphabet_size))
+    if r > n:
+        raise DimensionMismatch("r = %d exceeds the n = %d letters of the "
+                                "words" % (r, n))
+    closure = set(words)
     suffixes = [index_word(i, alphabet_size, r) for i in range(alphabet_size ** r)]
     frontier = list(closure)
     while frontier:

@@ -9,9 +9,12 @@ subspaces built on it) from its finalized rows.
 ``Eliminator`` reduces each incoming row in a single ascending pass over
 the stored pivot columns it meets, fill-in included, with one clearing
 step per field.  Over GF(p) the step is an inlined ``row -= c*prow mod
-p`` on field scalars.  Over QQ the eliminator works fraction-free: each
-incoming row is cleared of denominators and of its content, is reduced
-as an integer row (Bareiss-style, ``row := (p*row - c*prow) / gcd(c, p)``)
+p`` on field scalars, and the row is taken over as given: it must come
+in the stored form (scalars in [1, p), no zeros), which each feeder
+settles once, where it makes the row, and it is reduced in place.
+Over QQ the eliminator works fraction-free: each incoming row is
+copied, cleared of denominators and of its content, reduced as an
+integer row (Bareiss-style, ``row := (p*row - c*prow) / gcd(c, p)``),
 and loses its content once more at the end of the pass.  Only
 ``Eliminator.finalize`` turns the stored rows back into field scalars,
 after back-substituting in one pass per row, from the largest pivot
@@ -203,17 +206,16 @@ class Eliminator:
     def add(self, row):
         """Reduce and store row; returns its pivot column or None.
 
-        The row is first put in the stored form: scalars in [1, p) over
-        GF(p), a primitive integer row over QQ.
+        Over GF(p) the row must come in the stored form, scalars in
+        [1, p) and no zeros (``settled`` gives it), and is taken over:
+        it is reduced in place and may become a stored row.  Over QQ the
+        row is left as it is, and a primitive integer copy is reduced.
         """
         if self._finalized:
             raise ContractViolation("eliminator already finalized")
         integer = self._integer_rows
         if integer:
             row = primitive_row(row)
-        else:
-            p = self.field.p
-            row = {j: r for j, v in row.items() if (r := v % p)}
         pivot_rows = self.pivot_rows
         heap = [j for j in row if j in pivot_rows]
         if heap:
@@ -229,6 +231,7 @@ class Eliminator:
             return None
         piv = min(row)
         if not integer and row[piv] != 1:
+            p = self.field.p
             inv = pow(row[piv], -1, p)
             for j in row:
                 row[j] = row[j] * inv % p

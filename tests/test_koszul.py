@@ -13,7 +13,7 @@ from nkoszul.algebra import (Morphism, NHomogeneousAlgebra, circ,
                              free_algebra, full_relations_algebra,
                              symmetric_algebra)
 from nkoszul.definitions import parse_definition
-from nkoszul.errors import DimensionMismatch
+from nkoszul.errors import ContractViolation, DimensionMismatch
 from nkoszul.fields import PrimeField, QQ
 from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             NComplexSlice, _BarBlock, _bar_matrix,
@@ -627,7 +627,7 @@ def tor_sweep_algebras():
 def test_tor_dims_matches_reference_without_clearing(monkeypatch):
     # Clearing must skip only columns that reduce to zero, so the rows
     # the eliminators of tor_dims store are those of the full feed at
-    # the levels it eliminates, 4 and up.
+    # the levels it eliminates: 4 and up, to i_max + 1, where nu(i) <= t.
     made = []
 
     class RecordingEliminator(Eliminator):
@@ -641,9 +641,88 @@ def test_tor_dims_matches_reference_without_clearing(monkeypatch):
         made.clear()
         assert tor_dims(A, i_max, n_max) == want, (A, i_max, n_max)
         got_rows = sorted(stored_rows(e) for e in made if e.rank)
-        want_rows = sorted(stored_rows(e) for (i, _t), e in elims.items()
-                           if i >= 4 and e.rank)
+        want_rows = sorted(stored_rows(e) for (i, t), e in elims.items()
+                           if i >= 4 and tor_pure_degree(i, A.N) <= t
+                           and e.rank)
         assert got_rows == want_rows, (A, i_max, n_max)
+
+
+def test_tor_dims_eliminates_no_level_below_its_pure_degree(monkeypatch):
+    # Tor_{i,t} = 0 for t < nu(i) on every N-homogeneous algebra, which
+    # the oracle shows on the sweep, so tor_dims reads those levels off
+    # the block dims and builds no eliminator for them
+    made, levels = [], []
+
+    class RecordingEliminator(Eliminator):
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+    def recording_bar_matrix(algebra, blocks, i, t, skip):
+        levels.append((i, t))
+        return _bar_matrix(algebra, blocks, i, t, skip)
+
+    monkeypatch.setattr(koszul_module, "Eliminator", RecordingEliminator)
+    monkeypatch.setattr(koszul_module, "_bar_matrix", recording_bar_matrix)
+    fields = set()
+    for A, i_max, n_max in tor_sweep_algebras():
+        fields.add(A.field)
+        want, _elims = reference_tor_dims(A, i_max, n_max)
+        for (i, t), dim in want.items():
+            if t < tor_pure_degree(i, A.N):
+                assert dim == 0, (A, i, t)
+        made.clear()
+        levels.clear()
+        assert tor_dims(A, i_max, n_max) == want, (A, i_max, n_max)
+        assert len(made) == len(levels), (A, i_max, n_max)
+        assert all(tor_pure_degree(i, A.N) <= t for i, t in levels), (
+            A, levels)
+    assert QQ in fields and PrimeField(7) in fields
+
+
+def test_tor_dims_rejects_a_rank_too_high(monkeypatch, capsys):
+    # one eliminated rank one too high: the first eliminator of cubic.alg
+    # at i_max = 4 is d_4 in degree 6, where Tor_3 and Tor_4 are 0, so
+    # both read -1.  It cancels out of the Euler identity, which only
+    # the sign check catches.
+    from nkoszul import cli
+    built = []
+
+    class OffByOneEliminator(Eliminator):
+        def __init__(self, field):
+            super().__init__(field)
+            built.append(self)
+
+        @property
+        def rank(self):
+            return len(self.pivot_rows) + (self is built[0])
+
+    A = load_definition("cubic.alg")
+    assert tor_dims(A, 4, 8)[(3, 6)] == tor_dims(A, 4, 8)[(4, 6)] == 0
+    monkeypatch.setattr(koszul_module, "Eliminator", OffByOneEliminator)
+    with pytest.raises(ContractViolation, match="negative dim Tor_"):
+        tor_dims(A, 4, 8)
+    built.clear()
+    path = str(DEFINITIONS / "cubic.alg")
+    assert cli.main(["tor", path, "--nmax", "8", "--imax", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal bug: negative dim Tor_")
+
+
+def test_tor_dims_checks_the_euler_identity(monkeypatch):
+    # a rank read off the presentation one too high moves the alternating
+    # sum: rank d_3 in degree N is the top rank at i_max = 2, and the
+    # identity reaches degree nu(3) - 1 = N there
+    A = load_definition("cubic.alg")
+    tor_dims(A, 2, 6)
+
+    class OneRelationFewer:
+        dim = A.relations.dim - 1
+
+    monkeypatch.setattr(A, "relations", OneRelationFewer)
+    with pytest.raises(ContractViolation, match="Euler identity"):
+        tor_dims(A, 2, 6)
 
 
 DEPENDENT_MOD_7 = """\
@@ -652,6 +731,13 @@ degree 3
 relation x.x.y - y.y.x
 relation 8*x.x.y - y.y.x + 7*x.y.x
 """
+
+
+def test_dependent_mod_7_tower_keeps_its_dims():
+    # the coefficients 8 and 7 reduce mod 7, and the tower settles each
+    # assembled row mod 7 before the eliminator takes it over
+    A = parse_definition(DEPENDENT_MOD_7, field_override="gf:7").to_algebra()
+    assert A.hilbert_dims(9) == [1, 2, 4, 7, 12, 20, 33, 54, 88, 143]
 
 
 def closed_form_ranks(algebra, t):

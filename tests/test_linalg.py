@@ -1,6 +1,8 @@
 """Exact linear algebra: sparse RREF, ranks, kernels, subspace lattice,
 and the sparse matrix type."""
 
+from copy import deepcopy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +39,35 @@ def test_rref_fractions_stay_exact():
                             {0: QQ.one, 1: QQ.coerce(3)}])
     assert red == ({0: 1, 1: 3},)
     assert pivots == (0,)
+
+
+def test_prime_field_ignores_entries_that_vanish_mod_p():
+    # Eliminator.add takes GF(p) rows in stored form; rank and rref
+    # settle theirs, so integer entries that vanish mod p drop out
+    gf7 = PrimeField(7)
+    for row in ({0: 0, 2: 3}, {0: 7, 2: 3}):
+        assert rank(SparseMatrix(gf7, 3, 1, [row])) == 1
+        assert rref(gf7, [row]) == (({2: 1},), (2,))
+    rows = [{0: 7, 2: 3}, {0: 14}, {1: 0, 2: 6}]
+    assert rank(SparseMatrix(gf7, 3, 3, rows)) == 1
+    assert rref(gf7, rows) == (({2: 1},), (2,))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+def test_rank_and_rref_leave_their_inputs_alone(field):
+    # the rows meet each other's pivots, so an elimination in place
+    # would change them; over GF(7) the 9 and the 7 are unreduced
+    rows = [{0: field.coerce(2), 1: field.one},
+            {0: field.one, 1: field.coerce(3), 2: field.one},
+            {1: field.coerce(5), 2: field.coerce(2)}]
+    if field.p:
+        rows.append({0: 9, 2: 7})
+    before = deepcopy(rows)
+    rref(field, rows)
+    assert rows == before
+    matrix = SparseMatrix(field, 3, len(rows), rows)
+    rank(matrix)
+    assert matrix.cols == before
 
 
 def kernel(rows, ncols):

@@ -183,6 +183,15 @@ def test_rotation_closure_example():
     assert cl == {(0, 0), (0, 1), (1, 0), (1, 1)}
     with pytest.raises(DimensionMismatch):
         monomial_rotation_closure([(0, 1)], 0, 2)
+    # a letter outside the alphabet, mixed lengths, r beyond the words
+    for words, r, message in (
+            ([(0, 5)], 1, "word (0, 5) has a letter outside alphabet of "
+                          "size 2"),
+            ([(0, 0), (0,)], 1, "word (0,) does not have n = 2 letters"),
+            ([(0,), (0, 0)], 1, "word (0, 0) does not have n = 1 letters"),
+            ([(0, 0)], 3, "r = 3 exceeds the n = 2 letters of the words")):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            monomial_rotation_closure(words, r, 2)
 
 
 def test_rotation_closure_fixed_points():

@@ -389,17 +389,6 @@ def test_row_cancels_to_empty_after_fill_in(field):
     assert sorted(elim.pivot_rows) == [0, 1]
 
 
-def test_prime_field_ignores_entries_that_vanish_mod_p():
-    for row in ({0: 0, 2: 3}, {0: 7, 2: 3}):
-        elim = Eliminator(GF7)
-        assert elim.add(row) == 2
-        assert elim.pivot_rows == {2: {2: 1}}
-    elim = Eliminator(GF7)
-    for row in ({0: 7, 2: 3}, {0: 14}, {1: 0, 2: 6}):
-        elim.add(row)
-    assert elim.rank == 1
-
-
 def test_add_reports_pivot_or_none():
     elim = Eliminator(QQ)
     half = QQ.coerce("1/2")
