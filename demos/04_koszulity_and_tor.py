@@ -1,12 +1,14 @@
 """
-Koszulity and its bar-complex cross-check
-=========================================
+Koszulity and Tor
+=================
 
 Contracting the Koszul N-complex of an algebra with alternating powers
 d^p, d^{N-p} gives an ordinary complex C_{p,r}.  The algebra is Koszul
 when C_{N-1,0} is exact in every positive homological degree.  The same
-verdict can be read off the bar complex: Koszulity is equivalent to each
-Tor_i being concentrated in one "pure" degree.
+verdict reads off Tor: Koszulity is equivalent to each Tor_i being
+concentrated in one "pure" degree.  Where C_{N-1,0} is exact it is the
+minimal resolution, and Tor is read off it; from its first failure up,
+Tor comes from the bar complex.
 """
 
 from pathlib import Path
@@ -54,8 +56,9 @@ for (i, t), dim in sorted(table.items()):
               % (i, t, dim, tor_pure_degree(i, poly.N)))
 print()
 
-# The bar complex returns the same verdicts: the failing algebra shows a
-# Tor class outside its pure degree.
+# Tor gives the same verdicts.  The polynomial algebra's table is read off
+# its exact Koszul complex.  The failing algebra's comes from the bar
+# complex from degree 5 up, and shows a Tor class outside its pure degree.
 pure_poly, _ = tor_purity(poly, 3, 6)
 pure_pair, pair_table = tor_purity(pair, 4, 6)
 print("polynomial algebra pure :", pure_poly)

@@ -66,7 +66,8 @@ def _build_parser():
     p.add_argument("--p", type=int, default=None, help="default N-1")
     p.add_argument("--r", type=int, default=0)
     cmd("koszulity", help="exactness verdict for the contracted complex")
-    cmd("tor", help="Tor dimensions from the bar complex, with purity")
+    cmd("tor", help="Tor dimensions, read off the Koszul complex below its "
+        "first failure and from the bar complex above, with purity")
     p = cmd("lemma3", help="does R commute with tensor powers of E")
     p.add_argument("--r", type=int, default=1)
     cmd("reduce", help="lexicographic reduction operator of the relations")

@@ -489,6 +489,15 @@ def koszulity_check(algebra, n_max):
     """Exactness of C_{N-1,0} at all degrees i > 0, total degree <= n_max.
 
     The verdict carries its window; a failure carries (i, t, dim).
+
+    Each degree t found exact is checked against the Hilbert series of A
+    and A^!.  The blocks of C_{N-1,0} in degree t are A_{t-nu(i)} (x)
+    W_nu(i), nu(i) = ``tor_pure_degree(i, N)``, and an exact complex with
+    H_0 = K has Euler characteristic [t = 0]: so sum_i (-1)^i dim
+    A_{t-nu(i)} dim A^!_nu(i) = [t = 0], the truncated identity H_A(z) *
+    sum_i (-1)^i dim A^!_nu(i) z^nu(i) = 1 (Berger 2001).  It reads the
+    series the towers have built, and ``ContractViolation`` is raised
+    where it fails.
     """
     N = algebra.N
     if n_max < N:
@@ -501,6 +510,13 @@ def koszulity_check(algebra, n_max):
             if h:
                 return KoszulVerdict(False, n_max, (i, t, h))
             i += 1
+        a, w = algebra.hilbert_dims(t), algebra.dual().hilbert_dims(t)
+        euler = sum((-1) ** j * a[t - nu] * w[nu]
+                    for j, nu in enumerate(map(cx.k_index, range(i))))
+        if euler != (t == 0):
+            raise ContractViolation(
+                "exact Koszul complex breaks the series identity of A and "
+                "A^! in degree %d: %d" % (t, euler))
     return KoszulVerdict(True, n_max, None)
 
 
@@ -601,26 +617,38 @@ def _bar_matrix(algebra, blocks, i, t, skip):
 
 
 def tor_dims(algebra, i_max, n_max):
-    """dim Tor_i(K, K) in each total degree, from the normalized bar complex.
+    """dim Tor_i(K, K) per degree: Koszul complex below t0, bar complex above.
 
     Returns {(i, t): dim} for 0 <= i <= i_max, 0 <= t <= n_max.
 
-    The ranks of d_1, d_2 and d_3 are read off the presentation; no bar
-    matrix is built for them.  d_1 is zero.  For t >= 2, d_2 is onto A_t,
-    since A is generated in degree 1, so rank d_2 = dim A_t.  Tor_2 is
-    the space of minimal relations: R in degree N and 0 elsewhere, since
-    the ideal (R) has nothing below degree N (Berger 2001).  So rank d_3
-    = dim (A_+)^(x)2 - dim A_t - [t = N] dim R in degree t >= 2.
+    The Koszul complex K(A) = C_{N-1,0} is a complex of free modules A (x)
+    W_nu(i), nu(i) = ``tor_pure_degree(i, N)``, and K (x)_A K(A) has zero
+    differential.  So in every total degree below t0, where
+    ``koszulity_check`` finds it exact, K(A) is the minimal resolution of
+    K, and Tor_{i,t} = dim A^!_nu(i) at t = nu(i) and 0 elsewhere (Berger
+    2001; Berger, Dubois-Violette and Wambst).  t0 is the degree of the
+    check's witness, or n_max + 1.  K(A) is exact through degree N, since
+    R -> A_{N-1} (x) E is the inclusion and its cokernel is A_N, so the
+    check runs only when n_max >= N and its witness has t0 > N.  Below N
+    the read-off needs only W_0 = K and W_1 = E, and A^! is not built.
+
+    Each degree t >= t0 is ranked in the bar complex.  The ranks of d_1,
+    d_2 and d_3 are read off the presentation; no bar matrix is built for
+    them.  d_1 is zero.  For t >= 2, d_2 is onto A_t, since A is
+    generated in degree 1, so rank d_2 = dim A_t.  Tor_2 is the space of
+    minimal relations: R in degree N and 0 elsewhere, since the ideal (R)
+    has nothing below degree N (Berger 2001).  So rank d_3 = dim
+    (A_+)^(x)2 - dim A_t in every degree t >= t0 > N.
 
     The levels above are read off the same theorem where it decides
     them.  Every generator of the minimal resolution of K at level i
-    sits in degree >= nu(i) = ``tor_pure_degree(i, N)`` (Berger 2001;
-    Anick 1986: every i-chain has length >= nu(i)), so Tor_{i,t} = 0 for
-    t < nu(i) on every N-homogeneous algebra.  Each level i >= 4 with
-    nu(i) > t therefore has rank d_i = dim B_{i,t} - rank d_{i+1} in
-    degree t, from B_{t+1,t} = 0 down; only block dims are read.  Only
-    the levels min(i_max + 1, L - 1) down to 4 build a bar matrix, L the
-    lowest level with nu(L) > t.
+    sits in degree >= nu(i) (Berger 2001; Anick 1986: every i-chain has
+    length >= nu(i)), so Tor_{i,t} = 0 for t < nu(i) on every
+    N-homogeneous algebra.  Each level i >= 4 with nu(i) > t therefore
+    has rank d_i = dim B_{i,t} - rank d_{i+1} in degree t, from B_{t+1,t}
+    = 0 down; only block dims are read.  Only the levels min(i_max + 1,
+    L - 1) down to 4 build a bar matrix, L the lowest level with nu(L) >
+    t.
 
     Each degree ranks those levels from the top down with clearing
     (Chen-Kerber 2011): the pivot columns of level i + 1 are neither
@@ -648,13 +676,19 @@ def tor_dims(algebra, i_max, n_max):
     must hold in each degree t <= min(n_max, max(i_max, nu(i_max+1) - 1)):
     sum_{s <= t} sum_{i <= min(s, i_max)} (-1)^i Tor_{i,s} dim A_{t-s}
     = [t = 0].  Below nu(i_max + 1) no Tor_i with i > i_max is nonzero,
-    so truncating at i_max drops no term.  The identity checks the
-    ranks read off the presentation and the theorem against the Hilbert
-    series.  An eliminated rank cancels out of it, as it lowers Tor_i and
-    Tor_{i-1} alike; a rank too high shows where it makes a dim negative.
+    so truncating at i_max drops no term.  The identity checks the dims
+    read off the Koszul complex and the ranks read off the presentation
+    and the theorem against the Hilbert series.  An eliminated rank
+    cancels out of it, as it lowers Tor_i and Tor_{i-1} alike; a rank too
+    high shows where it makes a dim negative.
     """
     field, N = algebra.field, algebra.N
     dims = algebra.hilbert_dims(n_max)
+    t0 = n_max + 1
+    if n_max >= N:
+        witness = koszulity_check(algebra, n_max).witness
+        if witness:
+            t0 = witness[1]
     # bar[i][t] = dim (A_+)^(x)i in degree t, by the first part's degree
     bar = [[1] + [0] * n_max]
     for _ in range(max(i_max + 1, n_max)):
@@ -663,12 +697,11 @@ def tor_dims(algebra, i_max, n_max):
                     for t in range(n_max + 1)])
     blocks = {}
     ranks = {}
-    for t in range(n_max + 1):
-        if t >= 2 and i_max >= 1:
+    for t in range(t0, n_max + 1):
+        if i_max >= 1:
             # rank d_2 and rank d_3 from the presentation, as above
             ranks[(2, t)] = dims[t]
-            ranks[(3, t)] = (bar[2][t] - dims[t]
-                             - (algebra.relations.dim if t == N else 0))
+            ranks[(3, t)] = bar[2][t] - dims[t]
         # Tor_{i,t} = 0 below nu(i), as above
         i = t
         while i >= 4 and tor_pure_degree(i, N) > t:
@@ -692,9 +725,17 @@ def tor_dims(algebra, i_max, n_max):
             cleared = set(elim.pivot_rows)
     table = {}
     for i in range(i_max + 1):
+        nu = tor_pure_degree(i, N)
         for t in range(n_max + 1):
-            dim = (bar[i][t] - ranks.get((i, t), 0)
-                   - ranks.get((i + 1, t), 0))
+            if t >= t0:
+                dim = (bar[i][t] - ranks.get((i, t), 0)
+                       - ranks.get((i + 1, t), 0))
+            elif t != nu:
+                dim = 0
+            else:
+                # dim W_nu: E^(x)nu below N, where A^! may not be built
+                dim = (algebra.dim_e ** nu if nu < N
+                       else algebra.dual().dim(nu))
             if dim < 0:
                 raise ContractViolation(
                     "negative dim Tor_%d = %d in degree %d" % (i, dim, t))

@@ -1,7 +1,9 @@
 """Slow reference computations that tests compare the library against."""
 
 from nkoszul.errors import DimensionMismatch
+from nkoszul.koszul import _BarBlock
 from nkoszul.linalg import Subspace
+from nkoszul.sparsela import Eliminator
 from nkoszul.words import (annihilator, index_word, interleave_index,
                            tensor_subspace)
 
@@ -272,3 +274,88 @@ def row_axpy(field, target, c, source):
                 target[j] = s
             else:
                 del target[j]
+
+
+def bar_elements(block):
+    """(composition, position tuple) of every bar-block basis element."""
+    for comp, (_off, dims) in block.offsets.items():
+        poss = [0] * len(dims)
+        while True:
+            yield comp, tuple(poss)
+            for j in range(len(dims) - 1, -1, -1):
+                poss[j] += 1
+                if poss[j] < dims[j]:
+                    break
+                poss[j] = 0
+            else:
+                break
+
+
+def bar_index(block, comp, poss):
+    off, dims = block.offsets[comp]
+    idx = 0
+    for pos, d in zip(poss, dims):
+        idx = idx * d + pos
+    return off + idx
+
+
+def reference_bar_matrix(algebra, blocks, i, t):
+    """Slow oracle for _bar_matrix: one basis element at a time, by tuples."""
+    field = algebra.field
+    src = blocks[(i, t)]
+    tgt = blocks[(i - 1, t)]
+    neg, add = field.neg, field.add
+    cols = []
+    for comp, poss in bar_elements(src):
+        col = {}
+        for j in range(i - 1):
+            merged = comp[:j] + (comp[j] + comp[j + 1],) + comp[j + 2:]
+            if merged in tgt.offsets:
+                prod = algebra.basis_product(comp[j], poss[j],
+                                             comp[j + 1], poss[j + 1])
+                odd = j % 2     # the term of merge position j has sign (-1)^j
+                for pos_m, c in prod.items():
+                    new_poss = poss[:j] + (pos_m,) + poss[j + 2:]
+                    tix = bar_index(tgt, merged, new_poss)
+                    term = neg(c) if odd else c
+                    cur = col.get(tix)
+                    if cur is None:
+                        col[tix] = term
+                    else:
+                        s = add(cur, term)
+                        if s:
+                            col[tix] = s
+                        else:
+                            del col[tix]
+        cols.append(col)
+    return cols
+
+
+def bar_blocks(algebra, i_max, n_max):
+    return {(i, t): _BarBlock(algebra, i, t)
+            for i in range(i_max + 2) for t in range(n_max + 1)}
+
+
+def full_bar_eliminator(algebra, blocks, i, t):
+    """Every column of the level-i bar matrix fed, last column first."""
+    elim = Eliminator(algebra.field)
+    for col in reversed(reference_bar_matrix(algebra, blocks, i, t)):
+        if col:
+            elim.add(col)
+    return elim
+
+
+def reference_tor_dims(algebra, i_max, n_max):
+    """Oracle for tor_dims: no clearing, every column of every bar matrix.
+
+    Returns (table, eliminators), eliminators[(i, t)] holding the rows of
+    the level-i matrix in degree t.
+    """
+    blocks = bar_blocks(algebra, i_max, n_max)
+    elims = {(i, t): full_bar_eliminator(algebra, blocks, i, t)
+             for i in range(1, i_max + 2) for t in range(n_max + 1)}
+    ranks = {key: elim.rank for key, elim in elims.items()}
+    table = {(i, t): (blocks[(i, t)].dim - ranks.get((i, t), 0)
+                      - ranks[(i + 1, t)])
+             for i in range(i_max + 1) for t in range(n_max + 1)}
+    return table, elims

@@ -220,6 +220,23 @@ def test_cli_koszul_complex_of_a_degree_18_definition_in_192_mib(tmp_path):
     assert "slice n=4: 16 16 16 16 16" in res.stdout.splitlines()
 
 
+def test_cli_tor_of_a_degree_18_definition_in_64_mib(tmp_path):
+    # below degree N the Koszul complex is E^(x)nu (x) A, and Tor is read
+    # off it without the dual: R^perp, 2^18 - 1 rows, is never built
+    path = tmp_path / "deg18.alg"
+    path.write_text("generators x y\ndegree 18\nrelation %s - y.%s\n"
+                    % (".".join("x" * 18), ".".join("x" * 17)))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+    res = run_cli(["tor", "--nmax", "4", "--imax", "3"], [path],
+                  preexec_fn=cap_address_space, timeout=120)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert "tor i=1: 0 2 0 0 0" in lines and "pure: true" in lines
+
+
 def test_cli_dual_of_a_degree_18_definition_in_224_mib(tmp_path):
     # the dual's 2^18 - 1 relation rows go from the algebra to the report
     # as they are held, each word spelled only as its line is printed

@@ -1,6 +1,7 @@
 """Koszul chains, generalized homology, contracted complexes, Tor."""
 
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -16,12 +17,13 @@ from nkoszul.definitions import parse_definition
 from nkoszul.errors import ContractViolation, DimensionMismatch
 from nkoszul.fields import PrimeField, QQ
 from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
-                            NComplexSlice, _BarBlock, _bar_matrix,
-                            _compositions, _KoszulSlice, convolution_check,
-                            generalized_homology, koszul_K, koszul_L,
-                            koszulity_check, kron_sum_apply, lemma2_check,
-                            slice_acyclic, tor_dims, tor_pure_degree,
-                            tor_purity, verdict_string)
+                            KoszulVerdict, NComplexSlice, _BarBlock,
+                            _bar_matrix, _compositions, _KoszulSlice,
+                            convolution_check, generalized_homology,
+                            koszul_K, koszul_L, koszulity_check,
+                            kron_sum_apply, lemma2_check, slice_acyclic,
+                            tor_dims, tor_pure_degree, tor_purity,
+                            verdict_string)
 from nkoszul.linalg import Subspace, rank
 from nkoszul.sampling import (random_algebra,
                               random_full_rank_non_isomorphism,
@@ -30,7 +32,9 @@ from nkoszul.sampling import (random_algebra,
                               transported_algebra)
 from nkoszul.sparsela import Eliminator, SparseMatrix
 from nkoszul.words import block_embed
-from oracles import dual_component, sparse_rows, subspace_intersect
+from oracles import (bar_blocks, dual_component, full_bar_eliminator,
+                     reference_bar_matrix, reference_tor_dims, sparse_rows,
+                     subspace_intersect)
 
 
 def commutator_algebra():
@@ -476,61 +480,6 @@ def test_cli_exits_2_when_d_N_fails(monkeypatch, capsys):
     assert err.startswith("internal bug: d^N != 0 at slice n=2")
 
 
-def bar_elements(block):
-    """(composition, position tuple) of every bar-block basis element."""
-    for comp, (_off, dims) in block.offsets.items():
-        poss = [0] * len(dims)
-        while True:
-            yield comp, tuple(poss)
-            for j in range(len(dims) - 1, -1, -1):
-                poss[j] += 1
-                if poss[j] < dims[j]:
-                    break
-                poss[j] = 0
-            else:
-                break
-
-
-def bar_index(block, comp, poss):
-    off, dims = block.offsets[comp]
-    idx = 0
-    for pos, d in zip(poss, dims):
-        idx = idx * d + pos
-    return off + idx
-
-
-def reference_bar_matrix(algebra, blocks, i, t):
-    """Slow oracle for _bar_matrix: one basis element at a time, by tuples."""
-    field = algebra.field
-    src = blocks[(i, t)]
-    tgt = blocks[(i - 1, t)]
-    neg, add = field.neg, field.add
-    cols = []
-    for comp, poss in bar_elements(src):
-        col = {}
-        for j in range(i - 1):
-            merged = comp[:j] + (comp[j] + comp[j + 1],) + comp[j + 2:]
-            if merged in tgt.offsets:
-                prod = algebra.basis_product(comp[j], poss[j],
-                                             comp[j + 1], poss[j + 1])
-                odd = j % 2     # the term of merge position j has sign (-1)^j
-                for pos_m, c in prod.items():
-                    new_poss = poss[:j] + (pos_m,) + poss[j + 2:]
-                    tix = bar_index(tgt, merged, new_poss)
-                    term = neg(c) if odd else c
-                    cur = col.get(tix)
-                    if cur is None:
-                        col[tix] = term
-                    else:
-                        s = add(cur, term)
-                        if s:
-                            col[tix] = s
-                        else:
-                            del col[tix]
-        cols.append(col)
-    return cols
-
-
 def drawn_algebra(field, seed, coefficient, dim_r=3):
     """A (2, 3) algebra whose relations are dim_r drawn rows."""
     rng = rng_from_seed(seed)
@@ -576,36 +525,6 @@ def test_bar_matrix_matches_reference():
                                for j, col in enumerate(want)], (A, i, t)
 
 
-def bar_blocks(algebra, i_max, n_max):
-    return {(i, t): _BarBlock(algebra, i, t)
-            for i in range(i_max + 2) for t in range(n_max + 1)}
-
-
-def full_bar_eliminator(algebra, blocks, i, t):
-    """Every column of the level-i bar matrix fed, last column first."""
-    elim = Eliminator(algebra.field)
-    for col in reversed(reference_bar_matrix(algebra, blocks, i, t)):
-        if col:
-            elim.add(col)
-    return elim
-
-
-def reference_tor_dims(algebra, i_max, n_max):
-    """Oracle for tor_dims: no clearing, every column of every bar matrix.
-
-    Returns (table, eliminators), eliminators[(i, t)] holding the rows of
-    the level-i matrix in degree t.
-    """
-    blocks = bar_blocks(algebra, i_max, n_max)
-    elims = {(i, t): full_bar_eliminator(algebra, blocks, i, t)
-             for i in range(1, i_max + 2) for t in range(n_max + 1)}
-    ranks = {key: elim.rank for key, elim in elims.items()}
-    table = {(i, t): (blocks[(i, t)].dim - ranks.get((i, t), 0)
-                      - ranks[(i + 1, t)])
-             for i in range(i_max + 1) for t in range(n_max + 1)}
-    return table, elims
-
-
 def stored_rows(elim):
     return tuple(sorted((piv, tuple(sorted(row.items())))
                         for piv, row in elim.pivot_rows.items()))
@@ -624,46 +543,76 @@ def tor_sweep_algebras():
     return algebras
 
 
-def test_tor_dims_matches_reference_without_clearing(monkeypatch):
-    # Clearing must skip only columns that reduce to zero, so the rows
-    # the eliminators of tor_dims store are those of the full feed at
-    # the levels it eliminates: 4 and up, to i_max + 1, where nu(i) <= t.
+def first_failure(algebra, n_max):
+    """t0: the degree of the Koszul complex's first failure, or n_max + 1."""
+    witness = (koszulity_check(algebra, n_max).witness
+               if n_max >= algebra.N else None)
+    return witness[1] if witness else n_max + 1
+
+
+def record_bar_engine(monkeypatch):
+    """The eliminators tor_dims makes after its Koszulity check returns.
+
+    The check ranks the Koszul complex with eliminators of its own; the
+    list is emptied when it returns, so it holds the bar engine's only.
+    """
     made = []
+    check = koszulity_check
 
     class RecordingEliminator(Eliminator):
         def __init__(self, field):
             super().__init__(field)
             made.append(self)
 
-    monkeypatch.setattr("nkoszul.koszul.Eliminator", RecordingEliminator)
+    def recording_check(algebra, n_max):
+        verdict = check(algebra, n_max)
+        made.clear()
+        return verdict
+
+    monkeypatch.setattr(koszul_module, "Eliminator", RecordingEliminator)
+    monkeypatch.setattr(koszul_module, "koszulity_check", recording_check)
+    return made
+
+
+def record_bar_levels(monkeypatch):
+    """The (i, t) of every bar matrix tor_dims builds."""
+    levels = []
+
+    def recording_bar_matrix(algebra, blocks, i, t, skip):
+        levels.append((i, t))
+        return _bar_matrix(algebra, blocks, i, t, skip)
+
+    monkeypatch.setattr(koszul_module, "_bar_matrix", recording_bar_matrix)
+    return levels
+
+
+def test_tor_dims_matches_reference_without_clearing(monkeypatch):
+    # Clearing must skip only columns that reduce to zero, so the rows
+    # the bar eliminators of tor_dims store are those of the full feed at
+    # the levels it eliminates: 4 and up, to i_max + 1, where nu(i) <= t,
+    # in the degrees t >= t0 that the Koszul complex leaves open.
+    made = record_bar_engine(monkeypatch)
+    compared = 0
     for A, i_max, n_max in tor_sweep_algebras():
         want, elims = reference_tor_dims(A, i_max, n_max)
+        t0 = first_failure(A, n_max)
         made.clear()
         assert tor_dims(A, i_max, n_max) == want, (A, i_max, n_max)
         got_rows = sorted(stored_rows(e) for e in made if e.rank)
         want_rows = sorted(stored_rows(e) for (i, t), e in elims.items()
-                           if i >= 4 and tor_pure_degree(i, A.N) <= t
-                           and e.rank)
+                           if i >= 4 and t >= t0
+                           and tor_pure_degree(i, A.N) <= t and e.rank)
         assert got_rows == want_rows, (A, i_max, n_max)
+        compared += len(want_rows)
+    assert compared > 0
 
 
 def test_tor_dims_eliminates_no_level_below_its_pure_degree(monkeypatch):
     # Tor_{i,t} = 0 for t < nu(i) on every N-homogeneous algebra, which
     # the oracle shows on the sweep, so tor_dims reads those levels off
     # the block dims and builds no eliminator for them
-    made, levels = [], []
-
-    class RecordingEliminator(Eliminator):
-        def __init__(self, field):
-            super().__init__(field)
-            made.append(self)
-
-    def recording_bar_matrix(algebra, blocks, i, t, skip):
-        levels.append((i, t))
-        return _bar_matrix(algebra, blocks, i, t, skip)
-
-    monkeypatch.setattr(koszul_module, "Eliminator", RecordingEliminator)
-    monkeypatch.setattr(koszul_module, "_bar_matrix", recording_bar_matrix)
+    made = record_bar_engine(monkeypatch)
+    levels = record_bar_levels(monkeypatch)
     fields = set()
     for A, i_max, n_max in tor_sweep_algebras():
         fields.add(A.field)
@@ -680,13 +629,46 @@ def test_tor_dims_eliminates_no_level_below_its_pure_degree(monkeypatch):
     assert QQ in fields and PrimeField(7) in fields
 
 
+def test_tor_dims_builds_no_bar_matrix_below_the_first_failure(monkeypatch):
+    # below t0 the Koszul complex is the minimal resolution, and Tor is
+    # read off it; the sweep has Koszul windows and failures at 4 to 6
+    levels = record_bar_levels(monkeypatch)
+    failures = set()
+    for A, i_max, n_max in tor_sweep_algebras():
+        t0 = first_failure(A, n_max)
+        failures.add(t0 <= n_max)
+        levels.clear()
+        tor_dims(A, i_max, n_max)
+        assert all(t >= t0 for _i, t in levels), (A, t0, levels)
+    assert failures == {True, False}
+
+
+@pytest.mark.parametrize("t0", [4, 6])
+def test_a_forced_witness_starts_the_bar_engine_there(monkeypatch, t0):
+    # the check's witness alone decides where the read-off stops: a
+    # failure forced at t0 > N on a Koszul algebra leaves the table as it
+    # is, and the bar engine runs in every degree from t0 on, and only there
+    A = load_definition("cubic.alg")
+    i_max, n_max = 4, 8
+    want = tor_dims(A, i_max, n_max)
+    monkeypatch.setattr(koszul_module, "koszulity_check",
+                        lambda algebra, n: KoszulVerdict(False, n,
+                                                         (2, t0, 1)))
+    levels = record_bar_levels(monkeypatch)
+    assert tor_dims(A, i_max, n_max) == want
+    # nu(4) = 6: below it the engine ranks every level off the block dims
+    assert {t for _i, t in levels} == set(range(max(t0, 6), n_max + 1))
+
+
 def test_tor_dims_rejects_a_rank_too_high(monkeypatch, capsys):
-    # one eliminated rank one too high: the first eliminator of cubic.alg
-    # at i_max = 4 is d_4 in degree 6, where Tor_3 and Tor_4 are 0, so
-    # both read -1.  It cancels out of the Euler identity, which only
-    # the sign check catches.
+    # one eliminated rank one too high: cubic_pair.alg first fails in
+    # degree 5, and at i_max = 4 its first bar eliminator is d_4 in
+    # degree 6, where Tor_3 and Tor_4 are 0, so both read -1.  It cancels
+    # out of the Euler identity, which only the sign check catches.  The
+    # check's own eliminators are left exact.
     from nkoszul import cli
     built = []
+    check = koszulity_check
 
     class OffByOneEliminator(Eliminator):
         def __init__(self, field):
@@ -697,13 +679,22 @@ def test_tor_dims_rejects_a_rank_too_high(monkeypatch, capsys):
         def rank(self):
             return len(self.pivot_rows) + (self is built[0])
 
-    A = load_definition("cubic.alg")
+    def check_then_break(algebra, n_max):
+        monkeypatch.setattr(koszul_module, "Eliminator", Eliminator)
+        verdict = check(algebra, n_max)
+        built.clear()
+        monkeypatch.setattr(koszul_module, "Eliminator", OffByOneEliminator)
+        return verdict
+
+    A = load_definition("cubic_pair.alg")
+    assert first_failure(A, 8) == 5
     assert tor_dims(A, 4, 8)[(3, 6)] == tor_dims(A, 4, 8)[(4, 6)] == 0
-    monkeypatch.setattr(koszul_module, "Eliminator", OffByOneEliminator)
+    levels = record_bar_levels(monkeypatch)
+    monkeypatch.setattr(koszul_module, "koszulity_check", check_then_break)
     with pytest.raises(ContractViolation, match="negative dim Tor_"):
         tor_dims(A, 4, 8)
-    built.clear()
-    path = str(DEFINITIONS / "cubic.alg")
+    assert levels[0] == (4, 6)
+    path = str(DEFINITIONS / "cubic_pair.alg")
     assert cli.main(["tor", path, "--nmax", "8", "--imax", "4"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -711,18 +702,67 @@ def test_tor_dims_rejects_a_rank_too_high(monkeypatch, capsys):
 
 
 def test_tor_dims_checks_the_euler_identity(monkeypatch):
-    # a rank read off the presentation one too high moves the alternating
-    # sum: rank d_3 in degree N is the top rank at i_max = 2, and the
-    # identity reaches degree nu(3) - 1 = N there
+    # a dim read off the Koszul complex one too low moves the alternating
+    # sum: Tor_2 in degree N is dim A^!_N, and the identity reaches degree
+    # nu(3) - 1 = N at i_max = 2.  The check passes first, on the right
+    # dims.
     A = load_definition("cubic.alg")
     tor_dims(A, 2, 6)
+    check = koszulity_check
 
-    class OneRelationFewer:
-        dim = A.relations.dim - 1
+    def check_then_break(algebra, n_max):
+        verdict = check(algebra, n_max)
+        bang = algebra.dual()
+        dim = bang.dim
+        monkeypatch.setattr(bang, "dim", lambda n: dim(n) - (n == A.N))
+        return verdict
 
-    monkeypatch.setattr(A, "relations", OneRelationFewer)
+    monkeypatch.setattr(koszul_module, "koszulity_check", check_then_break)
     with pytest.raises(ContractViolation, match="Euler identity"):
         tor_dims(A, 2, 6)
+
+
+def test_cli_koszulity_exits_2_when_the_series_identity_fails(monkeypatch,
+                                                              capsys):
+    # the complex is built on the right dual, so every homology is 0, but
+    # the A^! series the check compares with is one low in degree N
+    from nkoszul import cli
+    dual = NHomogeneousAlgebra.dual
+
+    def dual_with_a_series_one_low(self):
+        bang = dual(self)
+        if "hilbert_dims" not in vars(bang):
+            dims = bang.hilbert_dims
+            bang.hilbert_dims = lambda n: [d - (m == bang.N)
+                                           for m, d in enumerate(dims(n))]
+        return bang
+
+    path = str(DEFINITIONS / "cubic.alg")
+    assert cli.main(["koszulity", path]) == 0
+    assert capsys.readouterr().out.endswith("verdict: KoszulUpTo(8)\n")
+    monkeypatch.setattr(NHomogeneousAlgebra, "dual",
+                        dual_with_a_series_one_low)
+    assert cli.main(["koszulity", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal bug: exact Koszul complex breaks the "
+                          "series identity of A and A^! in degree 3: -1")
+
+
+@pytest.mark.parametrize("field, sha1", [
+    (None, "100203b61834f8b1028085e838306d0810d71140"),
+    ("gf:32003", "214e88d020bc0afd977292d09ad568c1a1fe1d98")])
+def test_cli_tor_of_the_wide_cubic_window(monkeypatch, capsys, field, sha1):
+    # cubic.alg is Koszul through degree 10, so the whole table is read
+    # off the Koszul complex; the bar complex gave the same bytes.  The
+    # report names its input as given, relative to the checkout.
+    from nkoszul import cli
+    monkeypatch.chdir(DEFINITIONS.parent.parent)
+    args = ["tor", "demos/definitions/cubic.alg", "--nmax", "10",
+            "--imax", "5"]
+    assert cli.main(args + (["--field", field] if field else [])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
 DEPENDENT_MOD_7 = """\

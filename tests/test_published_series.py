@@ -15,7 +15,9 @@ beta), and for beta != 0 they are 3-Koszul of global dimension 3
 import pytest
 
 from nkoszul.definitions import parse_definition
-from nkoszul.koszul import koszulity_check, tor_purity, verdict_string
+from nkoszul.koszul import (koszulity_check, tor_dims, tor_purity,
+                            verdict_string)
+from oracles import reference_tor_dims
 
 FIELDS = (None, "gf:32003")
 
@@ -85,3 +87,14 @@ def test_down_up_with_beta_zero_has_the_same_dims():
     for field in FIELDS:
         A = parse_definition(down_up(1, 0), field_override=field).to_algebra()
         assert A.hilbert_dims(10) == closed_form_dims(2, 10)
+
+
+@pytest.mark.parametrize("case", sorted(KOSZUL_CASES))
+def test_tor_matches_the_bar_oracle(case):
+    # Koszul in their Tor windows, so tor_dims reads every spot off the
+    # Koszul complex, while the oracle ranks every bar matrix
+    text, _g, _n_max, tor_max = KOSZUL_CASES[case]
+    for field in FIELDS:
+        A = parse_definition(text, field_override=field).to_algebra()
+        want, _elims = reference_tor_dims(A, 4, tor_max)
+        assert tor_dims(A, 4, tor_max) == want
