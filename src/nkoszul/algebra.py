@@ -324,11 +324,6 @@ class NHomogeneousAlgebra:
         return self._dual
 
 
-def veronese_dims(algebra, d, j_max):
-    """Dimensions of the degree-(d*j) components, j = 0..j_max."""
-    return [algebra.dim(d * j) for j in range(j_max + 1)]
-
-
 def _pair_names(a, b):
     names = tuple("%s_%s" % (na, nb) for na in a.gen_names
                   for nb in b.gen_names)
@@ -443,16 +438,6 @@ class Morphism:
     def __repr__(self):
         return "Morphism(%s -> %s)" % (",".join(self.source.gen_names),
                                        ",".join(self.target.gen_names))
-
-
-def end_algebra(a):
-    """bullet(A.dual(), A): the internal endomorphism algebra."""
-    return bullet(a.dual(), a)
-
-
-def hom_algebra(a, b):
-    """bullet(A.dual(), B): the internal hom algebra."""
-    return bullet(a.dual(), b)
 
 
 def prop1_check(a, b, n_max):

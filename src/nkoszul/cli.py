@@ -169,11 +169,19 @@ def _run(args):
         report.add("nmax", nmax)
         for n in range(nmax + 1):
             sl = koszul_K(ident, n)
+            acyclic = set()
             for p in ps:
                 h = generalized_homology(sl, p)
                 dims = [h[(p, sl.positions[k].w_degree)]
                         for k in range(n + 1)]
                 report.add("homology n=%d p=%d" % (n, p), dims)
+                acyclic.add(not any(h.values()))
+            # an N-complex acyclic for one p is acyclic for every p
+            # (Dubois-Violette 1998; Kapranov 1996)
+            if len(acyclic) > 1:
+                raise ContractViolation(
+                    "slice n=%d has zero homology for some p but not all"
+                    % n)
     elif cmdname == "contracted":
         p = args.p if args.p is not None else A.N - 1
         cc = ContractedComplex(A, p, args.r)

@@ -14,7 +14,7 @@ from collections import namedtuple
 from .errors import ContractViolation, DimensionMismatch
 from .linalg import Subspace, reversed_subspace
 from .sparsela import apply_cols
-from .words import block_embed, index_word, word_index
+from .words import block_embed, index_word
 
 
 class ReductionOperator:
@@ -136,13 +136,3 @@ def monomial_rotation_closure(words, r, alphabet_size):
                 frontier.append(new)
     return closure
 
-
-def monomial_subspace(field, dim_e, n, words):
-    """Span of unit vectors at the given words inside E^(x)n."""
-    rows = []
-    for w in map(tuple, words):
-        if len(w) != n:
-            raise DimensionMismatch("word %r does not have n = %d letters"
-                                    % (w, n))
-        rows.append({word_index(w, dim_e): 1})
-    return Subspace.from_vectors(field, dim_e ** n, rows)

@@ -73,25 +73,3 @@ def random_rank_deficient_morphism(algebra, rng):
             break
     return Morphism(algebra, transported_algebra(algebra, sq), sq)
 
-
-def random_full_rank_non_isomorphism(algebra, rng):
-    """Invertible on generators, but relations land strictly inside target's.
-
-    The target is the transported algebra with extra relations adjoined,
-    so the image of the relation space is a proper subspace of the target
-    relations.  Returns None when the relation space is already full.
-    """
-    amb = algebra.relations.ambient_dim
-    if algebra.relations.dim >= amb:
-        return None
-    mat = random_invertible_matrix(algebra.field, algebra.dim_e, rng)
-    transported = _transported_relations(algebra, mat)
-    # adjoin one random vector outside the transported relations
-    while True:
-        extra = {j: rng.randint(-3, 3) for j in range(amb)}
-        if not transported.contains_vector(extra):
-            break
-    bigger = Subspace.from_vectors(algebra.field, amb,
-                                   transported.rows + (extra,))
-    target = NHomogeneousAlgebra(algebra.dim_e, algebra.N, bigger)
-    return Morphism(algebra, target, mat)

@@ -313,13 +313,6 @@ class SparseMatrix:
         """Apply to a sparse vector dict, returning a new dict."""
         return apply_cols(self.field.p, self.cols, vec)
 
-    def compose(self, other):
-        """self after other (matrix product, column by column)."""
-        if other.nrows != self.ncols:
-            raise DimensionMismatch("sparse composition shape mismatch")
-        out = [self.apply(col) for col in other.cols]
-        return SparseMatrix(self.field, self.nrows, other.ncols, out)
-
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols

@@ -1,11 +1,16 @@
 """Slow reference computations that tests compare the library against."""
 
+import random
+
+from nkoszul.algebra import Morphism, NHomogeneousAlgebra
 from nkoszul.errors import DimensionMismatch
-from nkoszul.koszul import _BarBlock
+from nkoszul.koszul import (ConvolutionContext, GradedMap, _BarBlock,
+                            koszul_K, kron_sum_apply)
 from nkoszul.linalg import Subspace
-from nkoszul.sparsela import Eliminator
+from nkoszul.sampling import random_invertible_matrix, transported_algebra
+from nkoszul.sparsela import Eliminator, SparseMatrix, transpose_cols
 from nkoszul.words import (annihilator, index_word, interleave_index,
-                           tensor_subspace)
+                           tensor_subspace, word_index)
 
 
 def sparse_rows(rows):
@@ -91,6 +96,14 @@ class DenseMatrix:
         return (isinstance(other, DenseMatrix) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols
                 and self.rows == other.rows)
+
+
+def compose(a, b):
+    """a after b: the product of two ``SparseMatrix`` maps, by columns."""
+    if b.nrows != a.ncols:
+        raise DimensionMismatch("sparse composition shape mismatch")
+    return SparseMatrix(a.field, a.nrows, b.ncols,
+                        [a.apply(col) for col in b.cols])
 
 
 def operator_matrix(op):
@@ -359,3 +372,155 @@ def reference_tor_dims(algebra, i_max, n_max):
                       - ranks[(i + 1, t)])
              for i in range(i_max + 1) for t in range(n_max + 1)}
     return table, elims
+
+
+def monomial_subspace(field, dim_e, n, words):
+    """Span of unit vectors at the given words inside E^(x)n."""
+    rows = []
+    for w in map(tuple, words):
+        if len(w) != n:
+            raise DimensionMismatch("word %r does not have n = %d letters"
+                                    % (w, n))
+        rows.append({word_index(w, dim_e): 1})
+    return Subspace.from_vectors(field, dim_e ** n, rows)
+
+
+def random_full_rank_non_isomorphism(algebra, rng):
+    """Invertible on generators, but relations land strictly inside target's.
+
+    The target is the transported algebra with extra relations adjoined,
+    so the image of the relation space is a proper subspace of the target
+    relations.  Returns None when the relation space is already full.
+    """
+    amb = algebra.relations.ambient_dim
+    if algebra.relations.dim >= amb:
+        return None
+    mat = random_invertible_matrix(algebra.field, algebra.dim_e, rng)
+    transported = transported_algebra(algebra, mat).relations
+    # adjoin one random vector outside the transported relations
+    while True:
+        extra = {j: rng.randint(-3, 3) for j in range(amb)}
+        if not transported.contains_vector(extra):
+            break
+    bigger = Subspace.from_vectors(algebra.field, amb,
+                                   transported.rows + (extra,))
+    target = NHomogeneousAlgebra(algebra.dim_e, algebra.N, bigger)
+    return Morphism(algebra, target, mat)
+
+
+# -- the convolution operators d_alpha, checked against K(f) ---------------
+
+
+def _block_offsets(target, bang, t):
+    """Offsets of the blocks C_{t-m} (x) W_m, m = 0..t, then their total."""
+    offsets = [0]
+    for m in range(t + 1):
+        offsets.append(offsets[-1] + target.dim(t - m) * bang.dim(m))
+    return offsets
+
+
+def d_alpha_matrix(ctx, alpha, t):
+    """The operator of alpha on the total-degree-t part of C (x) (B^!)*.
+
+    ctx is the ``ConvolutionContext`` of B and C.  Block from W_m to
+    W_{m-k} sends c (x) u-hat to the sum over coproduct components of
+    (c * alpha_k(a-hat)) (x) b-hat: the Kronecker sum over basis elements
+    a of B^!_k of right multiplication by alpha_k(a-hat) on C and the
+    transpose of left multiplication by a on B^!.
+    """
+    field, one = ctx.field, ctx.field.one
+    offsets = _block_offsets(ctx.target, ctx.bang, t)
+    cols = [dict() for _ in range(offsets[-1])]
+    for m in range(t + 1):
+        wm = ctx.bang.dim(m)
+        cs = ctx.target.dim(t - m)
+        if wm == 0 or cs == 0:
+            continue
+        for k in sorted(alpha.components):
+            mk = m - k
+            if mk < 0:
+                continue
+            wmk = ctx.bang.dim(mk)
+            if wmk == 0 or ctx.target.dim(t - mk) == 0:
+                continue
+            xs, ys = [], []
+            for a, va in enumerate(alpha.component(k)):
+                if not va:
+                    continue
+                xs.append([ctx.target.vector_product(t - m, {c: one}, k, va)
+                           for c in range(cs)])
+                ys.append([ctx.bang.basis_product(k, a, mk, b)
+                           for b in range(wmk)])
+            ys = transpose_cols(ys, wm)
+            for j in range(cs * wm):
+                col = cols[offsets[m] + j]
+                for i, v in kron_sum_apply(field.p, xs, ys, wm, wmk,
+                                           {j: one}).items():
+                    col[offsets[mk] + i] = v
+    return SparseMatrix(field, offsets[-1], offsets[-1], cols)
+
+
+def convolution_check(morphism, m_max, samples=20, seed=0):
+    """Coherence of the convolution structure with the complex differentials.
+
+    The convolution context is that of the morphism's source and target.
+    Verifies (a) alpha^{*N} = 0 for the morphism-derived alpha = xi_f
+    (the power lives in degree N alone), (b) d_alpha equals the K(f)
+    differential on slices t <= m_max, and (c) d_alpha o d_beta =
+    d_{alpha*beta} for random graded maps.
+    """
+    ctx = ConvolutionContext(morphism.source, morphism.target)
+    alpha = GradedMap.from_morphism(morphism)
+    N = morphism.source.N
+    if not ctx.convolution_power(alpha, N, N).is_zero():
+        return False
+    for t in range(m_max + 1):
+        dmat = d_alpha_matrix(ctx, alpha, t)
+        if dmat != _k_differential_total(morphism, t):
+            return False
+    rng = random.Random(seed)
+    for _ in range(samples):
+        a = random_graded_map(ctx, m_max, rng)
+        b = random_graded_map(ctx, m_max, rng)
+        t = rng.randrange(m_max + 1)
+        da = d_alpha_matrix(ctx, a, t)
+        db = d_alpha_matrix(ctx, b, t)
+        dab = d_alpha_matrix(ctx, ctx.convolve(a, b, t), t)
+        if compose(da, db) != dab:
+            return False
+    return True
+
+
+def random_graded_map(ctx, m_max, rng):
+    """A graded map (B^!)* -> C with small random entries through m_max."""
+    comps = {}
+    field = ctx.field
+    for m in range(m_max + 1):
+        wm = ctx.bang.dim(m)
+        cm = ctx.target.dim(m)
+        if wm == 0 or cm == 0:
+            continue
+        cols = [{} for _ in range(wm)]
+        # entries drawn row by row, as for a dense cm x wm matrix
+        for i in range(cm):
+            for col in cols:
+                v = rng.randint(-3, 3)
+                if v:
+                    col[i] = field.coerce(v)
+        comps[m] = cols
+    return GradedMap(comps)
+
+
+def _k_differential_total(morphism, t):
+    """All K(f)^t differentials assembled as one endo-sized sparse matrix."""
+    sl = koszul_K(morphism, t)
+    offsets = _block_offsets(morphism.target, morphism.source.dual(), t)
+    total = offsets[-1]
+    cols = [dict() for _ in range(total)]
+    for m in range(1, t + 1):
+        mat = sl.differential(t - m)  # position t - m holds W_m
+        for j, col in enumerate(mat.cols):
+            src = cols[offsets[m] + j]
+            for i, v in col.items():
+                src[offsets[m - 1] + i] = v
+    return SparseMatrix(morphism.source.field, total, total, cols)

@@ -14,18 +14,17 @@ from nkoszul.algebra import (Morphism, bullet, circ, free_algebra,
                              symmetric_algebra)
 from nkoszul.errors import ContractViolation
 from nkoszul.fields import PrimeField, QQ
-from nkoszul.koszul import (ContractedComplex, convolution_check,
-                            generalized_homology, koszul_K, koszul_L,
-                            koszulity_check, lemma2_check, slice_acyclic,
-                            tor_pure_degree)
+from nkoszul.koszul import (ContractedComplex, generalized_homology,
+                            koszul_K, koszul_L, koszulity_check,
+                            lemma2_check, slice_acyclic, tor_pure_degree)
 from nkoszul.linalg import Subspace
 from nkoszul.reduction import lemma3_check, reduction_operator
-from nkoszul.sampling import (random_algebra, random_full_rank_non_isomorphism,
-                              random_isomorphism,
+from nkoszul.sampling import (random_algebra, random_isomorphism,
                               random_rank_deficient_morphism, random_subspace,
                               rng_from_seed)
 from nkoszul.words import block_embed
-from oracles import DenseMatrix, kron, operator_matrix, reference_tor_dims
+from oracles import (DenseMatrix, convolution_check, kron, operator_matrix,
+                     random_full_rank_non_isomorphism, reference_tor_dims)
 
 
 def _verdict(number, ok):

@@ -418,6 +418,32 @@ def test_cli_main_repeated_in_one_process(defs, capsys):
         assert fresh.stdout == out
 
 
+def test_cli_homology_checks_p_independence(tmp_path, monkeypatch,
+                                            capsys):
+    # with N = 4 the ranks of d^2 serve p = 2 alone, so spoiling them
+    # leaves the acyclic slice n = 3 acyclic for p = 1 and 3 only
+    from nkoszul import cli
+    from nkoszul.koszul import NComplexSlice
+    path = tmp_path / "quartic.alg"
+    path.write_text("generators x y\ndegree 4\nrelation x.x.y.y - y.y.x.x\n")
+    args = ["homology", "--nmax", "4", str(path)]
+    assert cli.main(args) == 0
+    assert "homology n=3 p=2: 0 0 0 0\n" in capsys.readouterr().out
+    rank_power = NComplexSlice.rank_power
+
+    def spoiled(self, k, e):
+        r = rank_power(self, k, e)
+        return r - 1 if e == 2 and r else r
+    monkeypatch.setattr(NComplexSlice, "rank_power", spoiled)
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "slice n=3 has zero homology for some p but not all" in \
+        captured.err
+    # one --p computes no other p, so there is nothing to compare
+    assert cli.main(args + ["--p", "2"]) == 0
+
+
 def test_cli_bullet_rejects_mixed_fields(defs, tmp_path, capsys):
     from nkoszul import cli
     gf7 = tmp_path / "kxy7.alg"

@@ -3,12 +3,15 @@
 Every imported name and every local variable in src/, tests/ and demos/
 is read where it is bound, and so is every name the README's library
 block imports.  Every function, class and method defined in src/ is read
-somewhere in src/, demos/ or bench/ (a method as an attribute), and
-every attribute a class in src/ stores is read somewhere in src/,
-demos/, bench/ or tests/.
+somewhere in src/, demos/, bench/ or the README's library block (a
+method as an attribute); an export from the package counts as no read,
+so code that only tests call lives in tests/.  Every attribute a class
+in src/ stores is read somewhere in src/, demos/, bench/ or tests/.  The
+library imports only the standard library and itself.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 from test_demos import readme_library_block
@@ -71,6 +74,37 @@ def test_unused_import_scan_sees_each_form():
     assert unused_imports("import os\n__all__ = ['os']\n") == []
 
 
+def foreign_imports(source):
+    """(line, module) for each import that is neither the standard
+    library nor the package itself; a relative import is the package's."""
+    tree = ast.parse(source)
+    found = [(node.lineno, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    found += [(node.lineno, node.module) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return sorted((line, module) for line, module in found
+                  if module.split(".")[0] not in sys.stdlib_module_names
+                  and module.split(".")[0] != "nkoszul")
+
+
+def test_library_imports_only_stdlib_and_itself():
+    # tests/ is on sys.path under pytest, so a library import of a test
+    # oracle would still run there; it must fail here instead
+    found = ["%s:%d: %s" % (path.relative_to(ROOT), line, module)
+             for path in sorted(LIBRARY.rglob("*.py"))
+             for line, module in foreign_imports(path.read_text())]
+    assert found == []
+
+
+def test_foreign_import_scan_sees_each_form():
+    source = ("import os.path\nimport oracles\nfrom . import cli\n"
+              "from .koszul import tor_dims\nfrom nkoszul.fields import QQ\n"
+              "from test_demos import readme_library_block\n"
+              "def f():\n    import numpy as np\n")
+    assert foreign_imports(source) == [(2, "oracles"), (6, "test_demos"),
+                                       (8, "numpy")]
+
+
 def unused_locals(source):
     """Names a function assigns and never reads, as (line, name).
 
@@ -129,17 +163,16 @@ def test_unused_local_scan_sees_each_form():
 
 
 def definitions(source):
-    """(line, name, at module level, is a method) for each function, class
-    and method; a method is a ``def`` directly in a class body.
+    """(line, name, is a method) for each function, class and method; a
+    method is a ``def`` directly in a class body.
 
     Dunder methods are left out: Python itself calls them.
     """
     tree = ast.parse(source)
-    top = set(tree.body)
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                for node in cls.body if isinstance(node, functions)}
-    return sorted((node.lineno, node.name, node in top, node in methods)
+    return sorted((node.lineno, node.name, node in methods)
                   for node in ast.walk(tree)
                   if isinstance(node, (*functions, ast.ClassDef))
                   and not (node.name.startswith("__")
@@ -165,33 +198,27 @@ def names_read(source):
     return out
 
 
-def unread_definitions(source, read, attributes, exported=frozenset()):
+def unread_definitions(source, read, attributes):
     """(line, name) of each definition in source whose name is not read.
 
     read is every name read (``names_read``), attributes only the
     attribute reads and identifier strings (``attributes_read``).  A
     method counts as read only through attributes, since a bare name of
-    its spelling is another binding.  A module-level name in exported
-    counts as read: the package imports it into its public API.
+    its spelling is another binding.
     """
-    return [(line, name) for line, name, top, method in definitions(source)
-            if name not in (attributes if method else read)
-            and not (top and name in exported)]
+    return [(line, name) for line, name, method in definitions(source)
+            if name not in (attributes if method else read)]
 
 
 def test_no_dead_definitions():
-    read = set().union(*(names_read(path.read_text()) for path in READERS))
-    attributes = set().union(*(attributes_read(path.read_text())
-                               for path in READERS))
-    init = (LIBRARY / "__init__.py").read_text()
-    exported = {alias.asname or alias.name
-                for node in ast.parse(init).body
-                if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+    readers = [path.read_text() for path in READERS]
+    readers.append(readme_library_block())
+    read = set().union(*map(names_read, readers))
+    attributes = set().union(*map(attributes_read, readers))
     found = ["%s:%d: %s" % (path.relative_to(ROOT), line, name)
              for path in sorted(LIBRARY.rglob("*.py"))
              for line, name in unread_definitions(path.read_text(), read,
-                                                  attributes, exported)]
+                                                  attributes)]
     assert found == []
 
 
@@ -211,8 +238,15 @@ def test_dead_definition_scan_sees_each_form():
     read, attributes = names_read(source), attributes_read(source)
     assert unread_definitions(source, read, attributes) == [
         (1, "A"), (8, "api"), (10, "api"), (11, "inner")]
-    # an exported module-level name is read; a method of that name is not
-    assert unread_definitions(source, read, attributes, {"A", "api"}) == [
+    # the package's import of a name reads nothing; a README-style block
+    # that calls it does, and a method of that name stays unread
+    export = "from .module import A, api\n"
+    readme = "from nkoszul import A, api\nprint(A(), api())\n"
+    assert unread_definitions(source, read | names_read(export),
+                              attributes | attributes_read(export)) == [
+        (1, "A"), (8, "api"), (10, "api"), (11, "inner")]
+    assert unread_definitions(source, read | names_read(readme),
+                              attributes | attributes_read(readme)) == [
         (8, "api"), (11, "inner")]
     assert "used" in names_read("x.used()\n")
     assert "used" not in names_read("x.used = 1\n")

@@ -19,20 +19,20 @@ from nkoszul.fields import PrimeField, QQ
 from nkoszul.koszul import (ContractedComplex, ConvolutionContext, GradedMap,
                             KoszulVerdict, NComplexSlice, _BarBlock,
                             _bar_matrix, _compositions, _KoszulSlice,
-                            convolution_check, generalized_homology,
-                            koszul_K, koszul_L, koszulity_check,
-                            kron_sum_apply, lemma2_check, slice_acyclic,
-                            tor_dims, tor_pure_degree, tor_purity,
-                            verdict_string)
+                            generalized_homology, koszul_K, koszul_L,
+                            koszulity_check, kron_sum_apply, lemma2_check,
+                            slice_acyclic, tor_dims, tor_pure_degree,
+                            tor_purity, verdict_string)
 from nkoszul.linalg import Subspace, rank
-from nkoszul.sampling import (random_algebra,
-                              random_full_rank_non_isomorphism,
-                              random_isomorphism,
+from nkoszul.sampling import (random_algebra, random_isomorphism,
                               random_rank_deficient_morphism, rng_from_seed,
                               transported_algebra)
 from nkoszul.sparsela import Eliminator, SparseMatrix
 from nkoszul.words import block_embed
-from oracles import (bar_blocks, dual_component, full_bar_eliminator,
+import oracles
+from oracles import (bar_blocks, compose, convolution_check, d_alpha_matrix,
+                     dual_component, full_bar_eliminator,
+                     random_full_rank_non_isomorphism, random_graded_map,
                      reference_bar_matrix, reference_tor_dims, sparse_rows,
                      subspace_intersect)
 
@@ -188,7 +188,7 @@ def test_rank_power_matches_composed_differentials():
                     if k + e < npos:
                         mat = sl.differential(k)
                         for step in range(1, e):
-                            mat = sl.differential(k + step).compose(mat)
+                            mat = compose(sl.differential(k + step), mat)
                         expected = rank(mat)
                     assert sl.rank_power(k, e) == expected
                     assert sl.rank_power(k, e) == expected   # cached
@@ -543,6 +543,21 @@ def tor_sweep_algebras():
     return algebras
 
 
+def test_slice_acyclic_agrees_with_every_p():
+    # p = 1 alone decides (the p-independence lemma); every K(id) slice of
+    # the sweep agrees with the predicate that reads each p
+    seen = set()
+    for A, _i_max, n_max in tor_sweep_algebras():
+        ident = Morphism.identity(A)
+        for n in range(n_max + 1):
+            sl = koszul_K(ident, n)
+            every_p = not any(any(generalized_homology(sl, p).values())
+                              for p in range(1, A.N))
+            assert slice_acyclic(sl) == every_p, (A, n)
+            seen.add(every_p)
+    assert seen == {True, False}
+
+
 def first_failure(algebra, n_max):
     """t0: the degree of the Koszul complex's first failure, or n_max + 1."""
     witness = (koszulity_check(algebra, n_max).witness
@@ -835,7 +850,7 @@ def test_homology_leaves_no_reference_cycle():
         for sl in koszul_L(ident, 4):
             generalized_homology(sl, 1)
         ctx = ConvolutionContext(A, A)
-        ctx.d_alpha_matrix(GradedMap.from_morphism(ident), 3)
+        d_alpha_matrix(ctx, GradedMap.from_morphism(ident), 3)
 
     gc.disable()
     try:
@@ -916,13 +931,13 @@ def _power_returns_input(monkeypatch):
 
 
 def _k_differential_emptied(monkeypatch):
-    full = koszul_module._k_differential_total
+    full = oracles._k_differential_total
 
     def emptied(morphism, t):
         mat = full(morphism, t)
         return SparseMatrix(mat.field, mat.nrows, mat.ncols,
                             [{} for _ in mat.cols])
-    monkeypatch.setattr(koszul_module, "_k_differential_total", emptied)
+    monkeypatch.setattr(oracles, "_k_differential_total", emptied)
 
 
 def _convolve_swapped(monkeypatch):
@@ -950,15 +965,14 @@ def test_convolution_composition_order():
     A = commutator_algebra()
     ctx = ConvolutionContext(A, A)
     rng = rng_from_seed(31)
-    from nkoszul.koszul import _random_graded_map
     for _ in range(5):
-        a = _random_graded_map(ctx, 4, rng)
-        b = _random_graded_map(ctx, 4, rng)
+        a = random_graded_map(ctx, 4, rng)
+        b = random_graded_map(ctx, 4, rng)
         t = rng.randrange(5)
-        da = ctx.d_alpha_matrix(a, t)
-        db = ctx.d_alpha_matrix(b, t)
-        dab = ctx.d_alpha_matrix(ctx.convolve(a, b, t), t)
-        assert da.compose(db) == dab
+        da = d_alpha_matrix(ctx, a, t)
+        db = d_alpha_matrix(ctx, b, t)
+        dab = d_alpha_matrix(ctx, ctx.convolve(a, b, t), t)
+        assert compose(da, db) == dab
 
 
 def test_L_chains_of_truncated_algebra():

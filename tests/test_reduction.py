@@ -13,10 +13,11 @@ from nkoszul.errors import ContractViolation, DimensionMismatch
 from nkoszul.fields import QQ
 from nkoszul.linalg import Subspace
 from nkoszul.reduction import (lemma3_check, monomial_rotation_closure,
-                               monomial_subspace, reduction_operator)
+                               reduction_operator)
 from nkoszul.sampling import random_subspace, rng_from_seed
 from nkoszul.words import block_embed, index_word
-from oracles import DenseMatrix, kron, operator_matrix, sparse_rows
+from oracles import (DenseMatrix, kron, monomial_subspace, operator_matrix,
+                     sparse_rows)
 
 
 def unit(i):
