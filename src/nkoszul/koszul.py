@@ -412,7 +412,8 @@ def slice_acyclic(slice_):
 
     On an N-complex H_(p) = 0 everywhere for one p gives H_(q) = 0 for
     every q (Dubois-Violette 1998; Kapranov 1996), so p = 1 is read
-    alone.  The ``homology`` command checks that lemma on each slice.
+    alone.  The ``homology`` command checks that lemma on each K(id)
+    slice it prints.
     """
     return not any(generalized_homology(slice_, 1).values())
 

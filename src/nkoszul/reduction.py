@@ -135,4 +135,3 @@ def monomial_rotation_closure(words, r, alphabet_size):
                 closure.add(new)
                 frontier.append(new)
     return closure
-

@@ -72,4 +72,3 @@ def random_rank_deficient_morphism(algebra, rng):
         if rank(sq) < g:
             break
     return Morphism(algebra, transported_algebra(algebra, sq), sq)
-

@@ -88,8 +88,10 @@ def foreign_imports(source):
 
 
 def test_library_imports_only_stdlib_and_itself():
-    # tests/ is on sys.path under pytest, so a library import of a test
-    # oracle would still run there; it must fail here instead
+    # pyproject.toml declares no run-time dependencies, while the test
+    # environment has numpy and tests/ at hand, so a foreign import would
+    # pass every run-time test; this also sees an import inside a function
+    # that no demo or CLI test reaches
     found = ["%s:%d: %s" % (path.relative_to(ROOT), line, module)
              for path in sorted(LIBRARY.rglob("*.py"))
              for line, module in foreign_imports(path.read_text())]

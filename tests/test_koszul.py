@@ -544,18 +544,26 @@ def tor_sweep_algebras():
 
 
 def test_slice_acyclic_agrees_with_every_p():
-    # p = 1 alone decides (the p-independence lemma); every K(id) slice of
-    # the sweep agrees with the predicate that reads each p
+    # p = 1 alone decides (the p-independence lemma); every slice of K(id),
+    # K(f) for an isomorphism f and K(f) for a rank-deficient f over the
+    # sweep agrees with the predicate that reads each p
+    rng = rng_from_seed(41)
     seen = set()
     for A, _i_max, n_max in tor_sweep_algebras():
-        ident = Morphism.identity(A)
-        for n in range(n_max + 1):
-            sl = koszul_K(ident, n)
-            every_p = not any(any(generalized_homology(sl, p).values())
-                              for p in range(1, A.N))
-            assert slice_acyclic(sl) == every_p, (A, n)
-            seen.add(every_p)
-    assert seen == {True, False}
+        kinds = (("id", Morphism.identity(A)),
+                 ("iso", random_isomorphism(A, rng)),
+                 ("deficient", random_rank_deficient_morphism(A, rng)))
+        for kind, f in kinds:
+            for n in range(n_max + 1):
+                sl = koszul_K(f, n)
+                every_p = not any(any(generalized_homology(sl, p).values())
+                                  for p in range(1, A.N))
+                assert slice_acyclic(sl) == every_p, (A, kind, n)
+                seen.add((kind, every_p))
+    # no slice of K(f) for the rank-deficient f drawn here is acyclic, so
+    # those slices check that p = 1 sees the homology every p sees
+    assert seen == {("id", True), ("id", False), ("iso", True),
+                    ("iso", False), ("deficient", False)}
 
 
 def first_failure(algebra, n_max):
